@@ -4,8 +4,9 @@ Counting every way to play
 
 The move graph from the starting pile is finite, so one can count every
 distinct stabilization sequence (a move is a vertex plus the exact chips
-fired) and bucket them by final configuration. Memoization keyed on the
-configuration makes this cheap even when the raw sequence count is in the
+fired) and bucket them by final configuration. Every path to a state has the
+same length, so a sweep one depth layer at a time, adding up path counts per
+configuration, makes this cheap even when the raw sequence count is in the
 hundreds of thousands.
 """
 from starchip import StarParams, emit_table, enumerate_all, reachable_set

@@ -113,10 +113,9 @@ def cmd_volmin(args: argparse.Namespace) -> int:
 
 def cmd_syt(args: argparse.Namespace) -> int:
     count = count_rect_syt(args.k, args.m)
+    # Generate before printing anything, so a budget error leaves stdout empty.
+    tableaux = generate_syts(args.k, args.m) if args.list or args.witness else []
     sys.stdout.write(f"standard tableaux of shape {args.k} x {args.m}: {count}\n")
-    if not (args.list or args.witness):
-        return 0
-    tableaux = generate_syts(args.k, args.m)
     if args.list:
         for t in tableaux:
             sys.stdout.write(str(t) + "\n")
@@ -152,6 +151,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
     expected_len = expected_total_fires(params)
     poset_fail = mixing_fail = branch_fail = rim_fail = length_fail = 0
     fire_counts: set[tuple] = set()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -292,6 +293,16 @@ def legal_moves(config: LabeledConfig) -> list[Move]:
     return moves
 
 
+def _receivers(k: int, v: Vertex) -> tuple[Vertex, ...]:
+    """The routing rule: the i-th smallest chip fired at v lands on the i-th
+    receiver. A center fire feeds branch i, level 1, in branch order; a
+    branch fire sends its smaller chip inward (to the center from level 1)
+    and its larger one outward."""
+    if v.is_center:
+        return tuple(Vertex(i, 1) for i in range(1, k + 1))
+    return (CENTER if v.level == 1 else Vertex(v.branch, v.level - 1), Vertex(v.branch, v.level + 1))
+
+
 def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
     """Fire one vertex, returning the new configuration.
 
@@ -319,18 +330,79 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
         new[v] = remaining
     else:
         del new[v]
-
-    def add(u: Vertex, label: int) -> None:
+    for u, label in zip(_receivers(params.k, v), fired):
         new[u] = new.get(u, frozenset()) | {label}
-
-    if v.is_center:
-        for i, label in enumerate(fired, start=1):
-            add(Vertex(i, 1), label)
-    else:
-        a, b = fired
-        add(CENTER if v.level == 1 else Vertex(v.branch, v.level - 1), a)
-        add(Vertex(v.branch, v.level + 1), b)
     return LabeledConfig(params, new)
+
+
+# Packed state: the unchecked twin of LabeledConfig that the exhaustive
+# searches run on. It is a flat tuple indexed by vertex slot, slot 0 being the
+# center and slot 1 + (i-1)*m + (j-1) branch i, level j, and each slot holds
+# the sorted tuple of its labels. Started from k*m chips on the center, level
+# m never fires (see engine.expected_fire_count), so no chip passes it and the
+# slots cover every reachable state.
+
+_State = tuple[tuple[int, ...], ...]
+
+
+class _Board(NamedTuple):
+    """Slot tables of the packed state for one (k, m)."""
+
+    vertex: tuple[Vertex, ...]
+    """Vertex of each slot; slot order is canonical vertex order."""
+    slot: dict[Vertex, int]
+    deg: tuple[int, ...]
+    level: tuple[int, ...]
+    routes: tuple[tuple[int, ...], ...]
+    """Receiving slots of each slot, as :func:`_receivers` orders them; empty at level m."""
+    firing: tuple[int, ...]
+    """The slots below level m, the only ones that ever fire."""
+
+
+@lru_cache(maxsize=None)
+def _board(params: StarParams) -> _Board:
+    k, m = params.k, params.m
+    vertex = (CENTER,) + tuple(Vertex(i, j) for i in range(1, k + 1) for j in range(1, m + 1))
+    slot = {v: s for s, v in enumerate(vertex)}
+    routes = tuple(() if v.level == m else tuple(slot[u] for u in _receivers(k, v)) for v in vertex)
+    return _Board(
+        vertex=vertex,
+        slot=slot,
+        deg=tuple(degree(params, v) for v in vertex),
+        level=tuple(v.level for v in vertex),
+        routes=routes,
+        firing=tuple(s for s, r in enumerate(routes) if r),
+    )
+
+
+def _pack(config: LabeledConfig) -> _State:
+    """The packed state of a configuration whose chips all lie on levels <= m."""
+    board = _board(config.params)
+    state: list[tuple[int, ...]] = [()] * len(board.vertex)
+    for v, labels in config.chips.items():
+        state[board.slot[v]] = tuple(sorted(labels))
+    return tuple(state)
+
+
+def _unpack(params: StarParams, state: _State) -> LabeledConfig:
+    """Validate a packed state back into a configuration."""
+    return LabeledConfig(params, dict(zip(_board(params).vertex, state)))
+
+
+def _fireable(board: _Board, state: _State) -> list[int]:
+    """Slots that can fire, in canonical vertex order."""
+    deg = board.deg
+    return [s for s in board.firing if len(state[s]) >= deg[s]]
+
+
+def _fire(board: _Board, state: _State, s: int, chips: tuple[int, ...]) -> _State:
+    """Unchecked :func:`apply_move` on a packed state: ``chips`` must be a
+    sorted size-degree subset of slot ``s``'s labels."""
+    new = list(state)
+    new[s] = tuple(c for c in state[s] if c not in chips)
+    for u, c in zip(board.routes[s], chips):
+        new[u] = tuple(sorted((*new[u], c)))
+    return tuple(new)
 
 
 def canonical_outcome(config: LabeledConfig) -> Outcome:

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    CENTER,
     ChipGameError,
     IllegalMoveError,
     LabeledConfig,
@@ -23,6 +22,7 @@ from .core import (
     StarParams,
     UnlabeledConfig,
     Vertex,
+    _receivers,
     apply_move,
     canonical_outcome,
     degree,
@@ -74,15 +74,8 @@ def stabilize_unlabeled(params: StarParams, n: int) -> tuple[UnlabeledConfig, di
             if counts[v] == 0:
                 del counts[v]
             fires[v] += t
-            if v.is_center:
-                for i in range(1, params.k + 1):
-                    u = Vertex(i, 1)
-                    counts[u] = counts.get(u, 0) + t
-            else:
-                inner = CENTER if v.level == 1 else Vertex(v.branch, v.level - 1)
-                outer = Vertex(v.branch, v.level + 1)
-                counts[inner] = counts.get(inner, 0) + t
-                counts[outer] = counts.get(outer, 0) + t
+            for u in _receivers(params.k, v):
+                counts[u] = counts.get(u, 0) + t
     return UnlabeledConfig(params, counts), dict(fires), sum(fires.values())
 
 

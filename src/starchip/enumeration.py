@@ -1,29 +1,37 @@
 """Exhaustive search over stabilization sequences of the labeled game.
 
-The move graph from the all-on-center start is finite and graded (every path
-from a state to stability has the same length), so sequence counting is a
-memoized recursion over states: a stable state counts once for its own
-outcome, and any other state sums the counts of all children, one child per
-legal move. Counts grow super-exponentially, hence Python's native big
-integers throughout.
+Every search is one forward sweep from the all-on-center start, one depth
+layer at a time. The layering is exact: chip counts fix how often each vertex
+has fired, so every path from the start to a given state has the same length
+(Björner, Lovász and Shor, "Chip-firing games on graphs", 1991). Each state
+adds its path count to every child in the next layer, one child per legal
+move, and only two layers are ever held. After ``expected_total_fires``
+layers the counts are the stabilization-sequence counts of the stable
+outcomes, in Python's native big integers. The sweep runs on the packed state
+of :mod:`starchip.core`; only the final stable states are validated.
 """
 from __future__ import annotations
 
 import json
-import sys
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import combinations
+from typing import Callable
 
 from .core import (
     BudgetExceededError,
-    CENTER,
+    ChipGameError,
     LabeledConfig,
     Move,
     Outcome,
     StarParams,
-    Vertex,
-    apply_move,
+    _Board,
+    _State,
+    _board,
+    _fire,
+    _fireable,
+    _pack,
+    _receivers,
+    _unpack,
     canonical_outcome,
     degree,
     initial_labeled,
@@ -85,81 +93,82 @@ def _check_budget(params: StarParams, max_states: int | None, default_cells: int
         raise ValueError("max_states must be >= 1")
 
 
-def _bump_recursion_limit(params: StarParams) -> None:
-    need = expected_total_fires(params) + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
+def _sweep(
+    params: StarParams, max_states: int | None, fire_slots: Callable[[_Board, _State], list[int]]
+) -> dict[Outcome, int]:
+    """Move sequences reaching each stable outcome when a state may fire the
+    slots ``fire_slots`` gives; ``max_states`` bounds the distinct states
+    discovered over all layers, the start included."""
+    board = _board(params)
+    deg = board.deg
+    total = expected_total_fires(params)
+    layer = {_pack(initial_labeled(params)): 1}
+    states = 1
+    for depth in range(1, total + 1):
+        nxt: dict[_State, int] = {}
+        for state, paths in layer.items():
+            slots = fire_slots(board, state)
+            if not slots:
+                raise ChipGameError(f"internal error: no legal move at depth {depth - 1} of {total}")
+            for s in slots:
+                for chips in combinations(state[s], deg[s]):
+                    child = _fire(board, state, s, chips)
+                    known = nxt.get(child)
+                    if known is None:
+                        if max_states is not None and states >= max_states:
+                            raise BudgetExceededError(
+                                f"state count exceeded max_states = {max_states} "
+                                f"at depth {depth} of {total}"
+                            )
+                        states += 1
+                        nxt[child] = paths
+                    else:
+                        nxt[child] = known + paths
+        layer = nxt
+    return {canonical_outcome(_unpack(params, state)): paths for state, paths in layer.items()}
 
 
 def enumerate_all(params: StarParams, max_states: int | None = None) -> EnumerationResult:
     """Count every stabilization sequence from the all-on-center start.
 
     Two sequences are distinct when they differ in any move, where a move is
-    a vertex plus the exact chip subset fired. Memoization is keyed on the
-    canonical configuration, so the cost scales with distinct states rather
-    than with the (much larger) number of sequences.
+    a vertex plus the exact chip subset fired. Path counts are keyed on the
+    state, so the cost scales with distinct states, not with sequences.
 
     Raises BudgetExceededError when k*m exceeds the default cell budget and
-    no explicit ``max_states`` is given, or when the state count passes
-    ``max_states``.
+    no explicit ``max_states`` is given, or when the number of distinct
+    states passes ``max_states``.
     """
     _check_budget(params, max_states, DEFAULT_CELL_BUDGET)
-    _bump_recursion_limit(params)
-    memo: dict[tuple, Counter[Outcome]] = {}
-
-    def count(config: LabeledConfig) -> Counter[Outcome]:
-        key = config.key()
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        moves = legal_moves(config)
-        if not moves:
-            tallies = Counter({canonical_outcome(config): 1})
-        else:
-            tallies = Counter()
-            for mv in moves:
-                for outcome, n in count(apply_move(config, mv)).items():
-                    tallies[outcome] += n
-        if max_states is not None and len(memo) >= max_states:
-            raise BudgetExceededError(f"state count exceeded max_states = {max_states}")
-        memo[key] = tallies
-        return tallies
-
-    per_outcome = dict(count(initial_labeled(params)))
+    per_outcome = _sweep(params, max_states, _fireable)
     return EnumerationResult(params, per_outcome, sum(per_outcome.values()))
-
-
-def _search_outcomes(
-    params: StarParams,
-    successors: Callable[[LabeledConfig], list[Move]],
-    max_states: int | None,
-) -> set[Outcome]:
-    """Depth-first reachability over the move graph, collecting stable outcomes."""
-    start = initial_labeled(params)
-    seen = {start.key()}
-    outcomes: set[Outcome] = set()
-    stack = [start]
-    while stack:
-        config = stack.pop()
-        moves = successors(config)
-        if not moves:
-            outcomes.add(canonical_outcome(config))
-            continue
-        for mv in moves:
-            child = apply_move(config, mv)
-            key = child.key()
-            if key not in seen:
-                if max_states is not None and len(seen) >= max_states:
-                    raise BudgetExceededError(f"state count exceeded max_states = {max_states}")
-                seen.add(key)
-                stack.append(child)
-    return outcomes
 
 
 def reachable_set(params: StarParams, max_states: int | None = None) -> set[Outcome]:
     """All stable outcomes reachable from the all-on-center start."""
     _check_budget(params, max_states, DEFAULT_CELL_BUDGET)
-    return _search_outcomes(params, legal_moves, max_states)
+    return set(_sweep(params, max_states, _fireable))
+
+
+def _calmest(fireable: list, count, deg, routes, level) -> list:
+    """The fireable vertices the volatility-minimizing filter keeps, in the
+    order given. The tables are dicts keyed by vertex, or tuples indexed by
+    packed slot.
+
+    Firing v leaves the other fireable vertices ready, v itself if it holds
+    a second fire's worth of chips, and every receiver its new chip brings
+    up to its degree.
+    """
+    others = len(fireable) - 1
+
+    def volatility_after(v) -> int:
+        return others + (count[v] >= 2 * deg[v]) + sum(count[u] + 1 == deg[u] for u in routes[v])
+
+    scores = [volatility_after(v) for v in fireable]
+    best = min(scores)
+    calmest = [v for v, score in zip(fireable, scores) if score == best]
+    top_level = max(level[v] for v in calmest)
+    return [v for v in calmest if level[v] == top_level]
 
 
 def volmin_allowed_moves(config: LabeledConfig) -> list[Move]:
@@ -171,35 +180,24 @@ def volmin_allowed_moves(config: LabeledConfig) -> list[Move]:
     choices at the surviving vertices are returned, in canonical order.
     """
     params = config.params
-    counts = {v: len(s) for v, s in config.chips.items()}
-    fireable = [v for v in sorted(counts) if counts[v] >= degree(params, v)]
+    fireable = list(config.fireable_vertices())
     if not fireable:
         return []
+    routes = {v: _receivers(params.k, v) for v in fireable}
+    near = set(fireable).union(*routes.values())
+    count = {u: config.count_at(u) for u in near}
+    deg = {u: degree(params, u) for u in near}
+    keep = set(_calmest(fireable, count, deg, routes, {v: v.level for v in fireable}))
+    return [mv for mv in legal_moves(config) if mv.vertex in keep]
 
-    def volatility_after(v: Vertex) -> int:
-        after = dict(counts)
-        d = degree(params, v)
-        after[v] -= d
-        if v.is_center:
-            receivers: Iterable[Vertex] = (Vertex(i, 1) for i in range(1, params.k + 1))
-        else:
-            receivers = (
-                CENTER if v.level == 1 else Vertex(v.branch, v.level - 1),
-                Vertex(v.branch, v.level + 1),
-            )
-        for u in receivers:
-            after[u] = after.get(u, 0) + 1
-        return sum(1 for u, c in after.items() if c >= degree(params, u))
 
-    scores = {v: volatility_after(v) for v in fireable}
-    best = min(scores.values())
-    calmest = [v for v in fireable if scores[v] == best]
-    top_level = max(v.level for v in calmest)
-    survivors = [v for v in calmest if v.level == top_level]
-
-    all_moves = legal_moves(config)
-    keep = set(survivors)
-    return [mv for mv in all_moves if mv.vertex in keep]
+def _volmin_fireable(board: _Board, state: _State) -> list[int]:
+    """The packed-state twin of :func:`volmin_allowed_moves`: the slots that
+    survive the filter."""
+    fireable = _fireable(board, state)
+    if not fireable:
+        return fireable
+    return _calmest(fireable, [len(labels) for labels in state], board.deg, board.routes, board.level)
 
 
 def enumerate_volmin(params: StarParams, max_states: int | None = None) -> set[Outcome]:
@@ -209,4 +207,4 @@ def enumerate_volmin(params: StarParams, max_states: int | None = None) -> set[O
     prunes the tree, so the result is a subset of :func:`reachable_set`.
     """
     _check_budget(params, max_states, VOLMIN_CELL_BUDGET)
-    return _search_outcomes(params, volmin_allowed_moves, max_states)
+    return set(_sweep(params, max_states, _volmin_fireable))

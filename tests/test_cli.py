@@ -100,6 +100,13 @@ class TestSyt:
         assert code == 0
         assert "[1,2],[3,4]" in out and "[1,3],[2,4]" in out
 
+    @pytest.mark.parametrize("flag", ["--list", "--witness"])
+    def test_generation_budget_checked_before_output(self, capsys, flag):
+        code, out, err = run_cli(capsys, ["syt", "--k", "4", "--m", "5", flag])
+        assert code == 2
+        assert out == ""
+        assert "generation cell budget" in err
+
     def test_witness_replay(self, capsys):
         code, out, _ = run_cli(capsys, ["syt", "--k", "2", "--m", "3", "--witness"])
         assert code == 0
@@ -140,6 +147,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "verification: PASS" in out
         assert "observed outcomes within the reachable set: yes" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        code, out, err = run_cli(capsys, ["verify", "--k", "2", "--m", "2", "--samples", samples, "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "samples" in err
 
     def test_large_shape_skips_reachability(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--m", "3", "--samples", "10", "--seed", "2"])

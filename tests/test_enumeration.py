@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starchip import (
     BudgetExceededError,
     CENTER,
+    ChipGameError,
     EnumerationResult,
     Move,
     StarParams,
@@ -19,7 +23,8 @@ from starchip import (
     verify_rim_sorted,
     volmin_allowed_moves,
 )
-from starchip.core import LabeledConfig
+from starchip.core import LabeledConfig, _board, _fire, _fireable, _pack, _unpack
+from starchip.enumeration import _sweep, _volmin_fireable
 from oracles import naive_sequence_counts, naive_total_sequences
 
 
@@ -82,6 +87,21 @@ class TestEnumerateAll:
         with pytest.raises(BudgetExceededError, match="max_states"):
             enumerate_all(StarParams(2, 3), max_states=10)
 
+    def test_state_budget_counts_distinct_states(self):
+        # (2,4) has 19,069 distinct states, the start and the stable ones included
+        assert len(enumerate_all(StarParams(2, 4), max_states=19_069).per_outcome) == 16
+        with pytest.raises(BudgetExceededError, match=r"max_states = 19068 at depth 30 of 30$"):
+            enumerate_all(StarParams(2, 4), max_states=19_068)
+
+    def test_budget_error_names_the_depth_reached(self):
+        with pytest.raises(BudgetExceededError, match=r"max_states = 10 at depth 1 of 14$"):
+            enumerate_all(StarParams(2, 3), max_states=10)
+
+    @pytest.mark.parametrize("k, m", [(2, 4), (3, 3), (6, 2)])
+    def test_census_totals_equal_label_free_count(self, k, m):
+        result = enumerate_all(StarParams(k, m), max_states=100_000)
+        assert result.total_sequences == naive_total_sequences(k, m)
+
     def test_budget_override_allows_larger_games(self):
         result = enumerate_all(StarParams(3, 3), max_states=2_000_000)
         assert len(result.per_outcome) == 47
@@ -112,6 +132,11 @@ class TestReachableSet:
             for outcome in reachable_set(StarParams(k, m)):
                 assert verify_branch_sorted(outcome)
                 assert verify_rim_sorted(outcome)
+
+    def test_state_budget_counts_distinct_states(self):
+        assert len(reachable_set(StarParams(2, 4), max_states=19_069)) == 16
+        with pytest.raises(BudgetExceededError, match="max_states = 19068"):
+            reachable_set(StarParams(2, 4), max_states=19_068)
 
     def test_default_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -165,6 +190,40 @@ class TestEnumerateVolmin:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_volmin(StarParams(5, 2))
+
+
+def _packed_moves(board, state, slots):
+    return [Move(board.vertex[s], chips) for s in slots for chips in combinations(state[s], board.deg[s])]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_packed_kernel_matches_object_model(data):
+    # Random legal games, played through the packed kernel the searches use
+    # and through apply_move/legal_moves side by side.
+    k = data.draw(st.integers(min_value=1, max_value=9), label="k")
+    m = data.draw(st.integers(min_value=1, max_value=9 // k), label="m")
+    params = StarParams(k, m)
+    board = _board(params)
+    config = initial_labeled(params)
+    state = _pack(config)
+    while True:
+        assert _unpack(params, state) == config
+        assert _pack(config) == state
+        moves = legal_moves(config)
+        assert _packed_moves(board, state, _fireable(board, state)) == moves
+        assert _packed_moves(board, state, _volmin_fireable(board, state)) == volmin_allowed_moves(config)
+        if not moves:
+            break
+        mv = data.draw(st.sampled_from(moves), label="move")
+        config = apply_move(config, mv)
+        state = _fire(board, state, board.slot[mv.vertex], mv.chips)
+
+
+def test_sweep_refuses_a_dead_end_before_the_last_layer():
+    # a dead end would silently drop its path counts from the totals
+    with pytest.raises(ChipGameError, match="no legal move at depth 0 of 5"):
+        _sweep(StarParams(2, 2), None, lambda board, state: [])
 
 
 class TestResultSerialization:
