@@ -303,6 +303,20 @@ def _receivers(k: int, v: Vertex) -> tuple[Vertex, ...]:
     return (CENTER if v.level == 1 else Vertex(v.branch, v.level - 1), Vertex(v.branch, v.level + 1))
 
 
+def _check_fire(params: StarParams, v: Vertex, have: Iterable[int], fired: tuple[int, ...]) -> None:
+    """The legality checks of firing ``fired`` at ``v`` while it holds the
+    labels ``have``, shared by :func:`apply_move` and :func:`_fire_checked`.
+
+    Raises ValueError for a vertex off the star, else IllegalMoveError."""
+    d = degree(params, v)
+    if len(fired) != d:
+        raise IllegalMoveError(v, fired, f"must fire exactly {d} chips")
+    if tuple(sorted(fired)) != fired or len(set(fired)) != d:
+        raise IllegalMoveError(v, fired, "chips must be distinct and sorted")
+    if not set(fired) <= set(have):
+        raise IllegalMoveError(v, fired, f"chips not present (vertex holds {sorted(have)})")
+
+
 def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
     """Fire one vertex, returning the new configuration.
 
@@ -314,15 +328,8 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
     """
     v, fired = move
     params = config.params
-    check_vertex(params, v)
     have = config.labels_at(v)
-    d = degree(params, v)
-    if len(fired) != d:
-        raise IllegalMoveError(v, fired, f"must fire exactly {d} chips")
-    if tuple(sorted(fired)) != fired or len(set(fired)) != d:
-        raise IllegalMoveError(v, fired, "chips must be distinct and sorted")
-    if not set(fired) <= have:
-        raise IllegalMoveError(v, fired, f"chips not present (vertex holds {sorted(have)})")
+    _check_fire(params, v, have, fired)
 
     new: dict[Vertex, frozenset[int]] = dict(config.chips)
     remaining = have.difference(fired)
@@ -336,11 +343,12 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
 
 
 # Packed state: the unchecked twin of LabeledConfig that the exhaustive
-# searches run on. It is a flat tuple indexed by vertex slot, slot 0 being the
-# center and slot 1 + (i-1)*m + (j-1) branch i, level j, and each slot holds
-# the sorted tuple of its labels. Started from k*m chips on the center, level
-# m never fires (see engine.expected_fire_count), so no chip passes it and the
-# slots cover every reachable state.
+# searches, the game drivers and the replays run on. It is a flat tuple
+# indexed by vertex slot, slot 0 being the center and slot 1 + (i-1)*m + (j-1)
+# branch i, level j, and each slot holds the sorted tuple of its labels.
+# Started from k*m chips on the center, level m never fires (see
+# engine.expected_fire_count), so no chip passes it and the slots cover every
+# reachable state.
 
 _State = tuple[tuple[int, ...], ...]
 
@@ -348,6 +356,7 @@ _State = tuple[tuple[int, ...], ...]
 class _Board(NamedTuple):
     """Slot tables of the packed state for one (k, m)."""
 
+    params: StarParams
     vertex: tuple[Vertex, ...]
     """Vertex of each slot; slot order is canonical vertex order."""
     slot: dict[Vertex, int]
@@ -366,6 +375,7 @@ def _board(params: StarParams) -> _Board:
     slot = {v: s for s, v in enumerate(vertex)}
     routes = tuple(() if v.level == m else tuple(slot[u] for u in _receivers(k, v)) for v in vertex)
     return _Board(
+        params=params,
         vertex=vertex,
         slot=slot,
         deg=tuple(degree(params, v) for v in vertex),
@@ -403,6 +413,49 @@ def _fire(board: _Board, state: _State, s: int, chips: tuple[int, ...]) -> _Stat
     for u, c in zip(board.routes[s], chips):
         new[u] = tuple(sorted((*new[u], c)))
     return tuple(new)
+
+
+def _fire_checked(board: _Board, state: _State, move: Move) -> _State:
+    """:func:`apply_move` on a packed state, with the same checks and errors.
+
+    A vertex past level m has no slot and holds nothing, so every fire there
+    is rejected. From the all-on-center start, level m never holds two chips
+    (level m-1 fires once in every stabilization, and no legal sequence fires
+    a vertex more often), so the checks also reject every fire there."""
+    v, fired = move
+    s = board.slot.get(v)
+    _check_fire(board.params, v, () if s is None else state[s], fired)
+    return _fire(board, state, s, fired)
+
+
+def _calmest(fireable: list, count, deg, routes, level) -> list:
+    """The fireable vertices the volatility-minimizing filter keeps, in the
+    order given. The tables are dicts keyed by vertex, or tuples indexed by
+    packed slot.
+
+    Firing v leaves the other fireable vertices ready, v itself if it holds
+    a second fire's worth of chips, and every receiver its new chip brings
+    up to its degree.
+    """
+    others = len(fireable) - 1
+
+    def volatility_after(v) -> int:
+        return others + (count[v] >= 2 * deg[v]) + sum(count[u] + 1 == deg[u] for u in routes[v])
+
+    scores = [volatility_after(v) for v in fireable]
+    best = min(scores)
+    calmest = [v for v, score in zip(fireable, scores) if score == best]
+    top_level = max(level[v] for v in calmest)
+    return [v for v in calmest if level[v] == top_level]
+
+
+def _volmin_fireable(board: _Board, state: _State) -> list[int]:
+    """The slots that survive the volatility-minimizing filter (the packed
+    twin of :func:`starchip.enumeration.volmin_allowed_moves`)."""
+    fireable = _fireable(board, state)
+    if not fireable:
+        return fireable
+    return _calmest(fireable, [len(labels) for labels in state], board.deg, board.routes, board.level)
 
 
 def canonical_outcome(config: LabeledConfig) -> Outcome:

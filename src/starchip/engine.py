@@ -5,12 +5,17 @@ stabilization sequences from a fixed start agree in length and in how often
 each vertex fires (confluence). Starting from k*m chips on the center those
 counts have a closed form, exposed here as :func:`expected_fire_count` and
 :func:`expected_total_fires`; the drivers cross-check against it.
+
+The labeled game is played and replayed on the packed state of
+:mod:`starchip.core`: a strategy names each fire as a slot and its chips,
+and only the final state is validated as a :class:`LabeledConfig`.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -19,11 +24,20 @@ from .core import (
     LabeledConfig,
     Move,
     Outcome,
+    ShapeError,
     StarParams,
     UnlabeledConfig,
     Vertex,
+    _Board,
+    _State,
+    _board,
+    _fire,
+    _fire_checked,
+    _fireable,
+    _pack,
     _receivers,
-    apply_move,
+    _unpack,
+    _volmin_fireable,
     canonical_outcome,
     degree,
     initial_labeled,
@@ -115,14 +129,37 @@ class SequenceLog:
         return cls(params, tuple(moves))
 
 
-class Deterministic:
-    """Always plays the canonically first legal move."""
+def _unrank(pool: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
+    """The r-th (from 0) of ``combinations(pool, d)``, which lists the
+    d-subsets in lexicographic order of positions (Knuth, TAOCP 4A, 7.2.1.3).
+    Walks the pool once: the subsets that take ``pool[i]`` next number
+    C(n - i - 1, d - 1)."""
+    picked: list[int] = []
+    n = len(pool)
+    i = 0
+    while d:
+        first = comb(n - i - 1, d - 1)
+        if r < first:
+            picked.append(pool[i])
+            d -= 1
+        else:
+            r -= first
+        i += 1
+    return tuple(picked)
 
-    def pick(self, config: LabeledConfig) -> Move:
-        for v in config.fireable_vertices():
-            d = degree(config.params, v)
-            return Move(v, tuple(sorted(config.chips[v]))[:d])
-        raise ChipGameError("no legal move: configuration is stable")
+
+# A strategy's ``pick(board, state)`` names the next fire on a packed state
+# (see starchip.core) as a slot and the sorted chips it fires there. It is
+# only called on a state with a fireable slot.
+
+
+class Deterministic:
+    """Always plays the canonically first legal move: the first fireable
+    vertex and its smallest degree-many chips."""
+
+    def pick(self, board: _Board, state: _State) -> tuple[int, tuple[int, ...]]:
+        s = _fireable(board, state)[0]
+        return s, state[s][: board.deg[s]]
 
 
 class RandomUniform:
@@ -132,30 +169,34 @@ class RandomUniform:
     def __init__(self, seed: int):
         self._rng = SplitMix64(seed)
 
-    def pick(self, config: LabeledConfig) -> Move:
-        fireable = list(config.fireable_vertices())
-        if not fireable:
-            raise ChipGameError("no legal move: configuration is stable")
-        v = fireable[self._rng.randrange(len(fireable))]
-        chips = self._rng.subset(config.chips[v], degree(config.params, v))
-        return Move(v, chips)
+    def pick(self, board: _Board, state: _State) -> tuple[int, tuple[int, ...]]:
+        fireable = _fireable(board, state)
+        s = fireable[self._rng.randrange(len(fireable))]
+        return s, self._rng.subset(state[s], board.deg[s])
 
 
 class VolatilityMinimizing:
     """Restrict to fires that minimize how many vertices stay ready to fire
     (ties broken toward vertices furthest from the center), then pick
-    uniformly among the surviving moves."""
+    uniformly among the surviving moves.
+
+    The moves are never built. One draw ``r`` below their number, which is
+    the sum of C(chips, degree) over the surviving vertices, selects the
+    move :func:`starchip.enumeration.volmin_allowed_moves` lists at index
+    ``r``; it is unranked from that vertex's chips alone."""
 
     def __init__(self, seed: int):
         self._rng = SplitMix64(seed)
 
-    def pick(self, config: LabeledConfig) -> Move:
-        from .enumeration import volmin_allowed_moves
-
-        moves = volmin_allowed_moves(config)
-        if not moves:
-            raise ChipGameError("no legal move: configuration is stable")
-        return moves[self._rng.randrange(len(moves))]
+    def pick(self, board: _Board, state: _State) -> tuple[int, tuple[int, ...]]:
+        slots = _volmin_fireable(board, state)
+        sizes = [comb(len(state[s]), board.deg[s]) for s in slots]
+        r = self._rng.randrange(sum(sizes))
+        for s, size in zip(slots, sizes):
+            if r < size:
+                break
+            r -= size
+        return s, _unrank(state[s], board.deg[s], r)
 
 
 Strategy = Deterministic | RandomUniform | VolatilityMinimizing
@@ -176,23 +217,38 @@ def make_strategy(name: str, seed: int = 0) -> Strategy:
 def stabilize_labeled(config: LabeledConfig, strategy: Strategy) -> tuple[Outcome, SequenceLog]:
     """Play moves chosen by ``strategy`` until stable.
 
-    Returns the canonical outcome matrix and the full move log. A ceiling of
-    10x the closed-form sequence length guards against a selection bug
-    turning into a hang.
+    Returns the canonical outcome matrix and the full move log. The game runs
+    on the packed state of :mod:`starchip.core`, so a fire copies one tuple
+    of per-vertex label tuples and validates nothing; the final state is
+    validated once. A ceiling of 10x the closed-form sequence length guards
+    against a selection bug turning into a hang.
+
+    Raises ShapeError for a start with chips past level m, or when a chip
+    would have to pass it later: a branch's outermost occupied level never
+    falls, so neither game can end in the stable shape.
     """
     params = config.params
+    m = params.m
+    if any(v.level > m for v in config.chips):
+        raise ShapeError(f"the start has chips past level {m}, so it cannot end in the stable shape")
+    board = _board(params)
+    state = _pack(config)
     ceiling = 10 * max(1, expected_total_fires(params))
     moves: list[Move] = []
-    while not config.is_stable:
+    while _fireable(board, state):
         if len(moves) >= ceiling:
             raise ChipGameError(
                 f"stabilization exceeded {ceiling} moves on k={params.k}, m={params.m}; "
                 "strategy or rules are broken"
             )
-        mv = strategy.pick(config)
-        config = apply_move(config, mv)
-        moves.append(mv)
-    return canonical_outcome(config), SequenceLog(params, tuple(moves))
+        s, chips = strategy.pick(board, state)
+        state = _fire(board, state, s, chips)
+        moves.append(Move(board.vertex[s], chips))
+    final = _unpack(params, state)
+    if not final.is_stable:
+        # Level m never fires on the packed state; the game would fire it outward.
+        raise ShapeError(f"chips pile up on level {m} and must pass it, so the game cannot end in the stable shape")
+    return canonical_outcome(final), SequenceLog(params, tuple(moves))
 
 
 def replay(params: StarParams, moves: Iterable[Move] | Sequence[Move]) -> tuple[Outcome | LabeledConfig, SequenceLog]:
@@ -200,17 +256,21 @@ def replay(params: StarParams, moves: Iterable[Move] | Sequence[Move]) -> tuple[
 
     Returns (outcome, log) when the script ends stable, else (config, log).
     An illegal move raises IllegalMoveError naming the 1-based step and the
-    configuration it was attempted on.
+    configuration it was attempted on; each fire is checked exactly as
+    :func:`starchip.core.apply_move` checks it, on the packed state.
     """
-    config = initial_labeled(params)
+    board = _board(params)
+    state = _pack(initial_labeled(params))
     played: list[Move] = []
     for t, mv in enumerate(moves, start=1):
         try:
-            config = apply_move(config, mv)
+            state = _fire_checked(board, state, mv)
         except IllegalMoveError as e:
+            config = _unpack(params, state)
             raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {config!r}", step=t) from None
         played.append(mv)
     log = SequenceLog(params, tuple(played))
+    config = _unpack(params, state)
     if config.is_stable:
         return canonical_outcome(config), log
     return config, log

@@ -27,11 +27,13 @@ from .core import (
     _Board,
     _State,
     _board,
+    _calmest,
     _fire,
     _fireable,
     _pack,
     _receivers,
     _unpack,
+    _volmin_fireable,
     canonical_outcome,
     degree,
     initial_labeled,
@@ -150,27 +152,6 @@ def reachable_set(params: StarParams, max_states: int | None = None) -> set[Outc
     return set(_sweep(params, max_states, _fireable))
 
 
-def _calmest(fireable: list, count, deg, routes, level) -> list:
-    """The fireable vertices the volatility-minimizing filter keeps, in the
-    order given. The tables are dicts keyed by vertex, or tuples indexed by
-    packed slot.
-
-    Firing v leaves the other fireable vertices ready, v itself if it holds
-    a second fire's worth of chips, and every receiver its new chip brings
-    up to its degree.
-    """
-    others = len(fireable) - 1
-
-    def volatility_after(v) -> int:
-        return others + (count[v] >= 2 * deg[v]) + sum(count[u] + 1 == deg[u] for u in routes[v])
-
-    scores = [volatility_after(v) for v in fireable]
-    best = min(scores)
-    calmest = [v for v, score in zip(fireable, scores) if score == best]
-    top_level = max(level[v] for v in calmest)
-    return [v for v in calmest if level[v] == top_level]
-
-
 def volmin_allowed_moves(config: LabeledConfig) -> list[Move]:
     """Legal moves surviving the volatility-minimizing filter.
 
@@ -189,15 +170,6 @@ def volmin_allowed_moves(config: LabeledConfig) -> list[Move]:
     deg = {u: degree(params, u) for u in near}
     keep = set(_calmest(fireable, count, deg, routes, {v: v.level for v in fireable}))
     return [mv for mv in legal_moves(config) if mv.vertex in keep]
-
-
-def _volmin_fireable(board: _Board, state: _State) -> list[int]:
-    """The packed-state twin of :func:`volmin_allowed_moves`: the slots that
-    survive the filter."""
-    fireable = _fireable(board, state)
-    if not fireable:
-        return fireable
-    return _calmest(fireable, [len(labels) for labels in state], board.deg, board.routes, board.level)
 
 
 def enumerate_volmin(params: StarParams, max_states: int | None = None) -> set[Outcome]:

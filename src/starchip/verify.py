@@ -34,8 +34,9 @@ from .core import (
     StarParams,
     Vertex,
     CENTER,
-    apply_move,
-    degree,
+    _board,
+    _fire_checked,
+    _pack,
     initial_labeled,
 )
 from .engine import SequenceLog, expected_fire_count
@@ -165,20 +166,24 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
                 require_before(outer_ref, ref, "outer-precedes")
 
     endgame_at = {t: ref for ref, t in positions.items()}
-    config = initial_labeled(params)
+    board = _board(params)
+    state = _pack(initial_labeled(params))
     for t, mv in enumerate(log.moves):
         ref = endgame_at.get(t)
-        if ref is not None and config.count_at(mv.vertex) != degree(params, mv.vertex):
-            violations.append(
-                Violation(
-                    "exact-degree-chips",
-                    (ref,),
-                    f"endgame fire {mv.vertex}^{ref.from_end} at index {t} ran with "
-                    f"{config.count_at(mv.vertex)} chips present, not {degree(params, mv.vertex)}",
+        if ref is not None:
+            # the fire counts matched, so every fired vertex has a slot
+            s = board.slot[mv.vertex]
+            if len(state[s]) != board.deg[s]:
+                violations.append(
+                    Violation(
+                        "exact-degree-chips",
+                        (ref,),
+                        f"endgame fire {mv.vertex}^{ref.from_end} at index {t} ran with "
+                        f"{len(state[s])} chips present, not {board.deg[s]}",
+                    )
                 )
-            )
         try:
-            config = apply_move(config, mv)
+            state = _fire_checked(board, state, mv)
         except IllegalMoveError as e:
             violations.append(Violation("illegal-replay", (t,), str(e)))
             break

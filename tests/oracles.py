@@ -97,6 +97,54 @@ def naive_total_sequences(k: int, m: int) -> int:
     return walk(k * m, ((),) * k)
 
 
+def _naive_ready(cfg, k):
+    """Vertices that can fire, in the order ``_naive_moves`` lists them."""
+    return list(dict.fromkeys(v for v, _ in _naive_moves(cfg, k)))
+
+
+def naive_play(k: int, m: int, strategy: str, seed: int) -> list:
+    """One labeled game from the all-on-center start, as a list of
+    ``(vertex, chips)`` moves with vertex ``"C"`` or ``(branch, level)``.
+
+    ``strategy`` is ``"det"`` (the first legal move), ``"random"`` (a ready
+    vertex uniformly, then its chips drawn one at a time without
+    replacement from the sorted pool) or ``"volmin"``. The volmin filter
+    trial-fires one move per ready vertex, counts the vertices still ready
+    afterwards, keeps the minimum and then the highest level (the center is
+    level 0). The random and volmin players index the full list they built
+    with ``SplitMix64.randrange``.
+    """
+    rng = SplitMix64(seed)
+    cfg = {CENTER: frozenset(range(1, k * m + 1))}
+    played = []
+    while True:
+        moves = _naive_moves(cfg, k)
+        if not moves:
+            return played
+        if strategy == "det":
+            mv = moves[0]
+        elif strategy == "random":
+            ready = _naive_ready(cfg, k)
+            v = ready[rng.randrange(len(ready))]
+            pool = sorted(cfg[v])
+            picked = [pool.pop(rng.randrange(len(pool))) for _ in range(k if v == CENTER else 2)]
+            mv = (v, tuple(sorted(picked)))
+        elif strategy == "volmin":
+            first = {}
+            for v, chips in moves:
+                first.setdefault(v, (v, chips))
+            after = {v: len(_naive_ready(_naive_apply(cfg, mv, k), k)) for v, mv in first.items()}
+            calm = [v for v in first if after[v] == min(after.values())]
+            level = {v: 0 if v == CENTER else v[1] for v in calm}
+            keep = {v for v in calm if level[v] == max(level.values())}
+            allowed = [mv for mv in moves if mv[0] in keep]
+            mv = allowed[rng.randrange(len(allowed))]
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        played.append(mv)
+        cfg = _naive_apply(cfg, mv, k)
+
+
 def random_column_sorted_grid(rows: int, cols: int, rng: SplitMix64) -> tuple:
     """A uniform random arrangement of 1..rows*cols into columns, each column
     then sorted, yielding a grid whose columns strictly increase."""

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,20 @@ class TestStabilize:
         assert doc["k"] == 2 and doc["strategy"] == "volmin" and doc["seed"] == 3
         assert len(doc["moves"]) == doc["fires"] == 5
         assert all(doc["verification"].values())
+
+    def test_volmin_seven_by_seven_stays_small(self, capsys):
+        # Building every legal move first put C(49, 7) = 85,900,584 center
+        # moves in memory, and the process was killed for lack of it.
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, ["stabilize", "--k", "7", "--m", "7", "--strategy", "volmin", "--seed", "0", "--verify"]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0  # every --verify check passed
+        assert peak < 32 * 2**20
 
 
 class TestEnumerate:

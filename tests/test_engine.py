@@ -1,15 +1,21 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from starchip import (
     CENTER,
     Deterministic,
     IllegalMoveError,
+    LabeledConfig,
     Move,
     RandomUniform,
     SequenceLog,
+    ShapeError,
     StarParams,
     Vertex,
     VolatilityMinimizing,
+    apply_move,
     expected_fire_count,
     expected_total_fires,
     initial_labeled,
@@ -19,7 +25,11 @@ from starchip import (
     replay,
     stabilize_labeled,
     stabilize_unlabeled,
+    verify_poset,
 )
+from starchip.engine import _unrank
+
+from oracles import naive_play
 
 
 class TestUnlabeledStabilization:
@@ -182,3 +192,98 @@ class TestSequenceLog:
     def test_move_parse_matches_str(self):
         mv = Move(Vertex(2, 1), (3, 9))
         assert parse_move(str(mv)) == mv
+
+
+SMALL_SHAPES = [(k, m) for k in range(1, 10) for m in range(1, 10) if k * m <= 9]
+
+
+@pytest.mark.parametrize("name", ["det", "random", "volmin"])
+@pytest.mark.parametrize("k,m", SMALL_SHAPES)
+def test_games_match_the_naive_driver(k, m, name):
+    # The packed driver and an independent one built on the naive oracle's
+    # moves agree move for move, draw for draw.
+    params = StarParams(k, m)
+    for seed in (0, 1, 7, 2024):
+        _, log = stabilize_labeled(initial_labeled(params), make_strategy(name, seed))
+        moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
+        assert moves == naive_play(k, m, name, seed)
+
+
+def test_unrank_lists_every_combination_in_order():
+    for n in range(10):
+        pool = tuple(3 * i + 1 for i in range(n))
+        for d in range(n + 1):
+            listed = list(combinations(pool, d))
+            assert len(listed) == comb(n, d)
+            assert [_unrank(pool, d, r) for r in range(len(listed))] == listed
+
+
+class TestStartsPastTheBoard:
+    def test_chip_past_level_m_is_refused_before_any_fire(self):
+        params = StarParams(1, 2)
+        start = LabeledConfig(params, {CENTER: {1}, Vertex(1, 3): {2}})
+        with pytest.raises(ShapeError, match="past level 2"):
+            stabilize_labeled(start, RandomUniform(0))
+
+    def test_pile_on_level_m_is_refused(self):
+        # the game would fire it outward, past level m
+        params = StarParams(1, 2)
+        start = LabeledConfig(params, {Vertex(1, 2): {1, 2}})
+        with pytest.raises(ShapeError, match="pile up on level 2"):
+            stabilize_labeled(start, Deterministic())
+
+
+def _object_replay(params, moves):
+    """The object-model replay: the first illegal step, the configuration
+    it was tried on and apply_move's error, or None."""
+    config = initial_labeled(params)
+    for t, mv in enumerate(moves, start=1):
+        try:
+            config = apply_move(config, mv)
+        except (IllegalMoveError, ValueError) as e:
+            return t, config, e
+    return None
+
+
+def _bad_logs():
+    params = StarParams(3, 3)
+    _, log = stabilize_labeled(initial_labeled(params), RandomUniform(11))
+    moves = list(log.moves)
+    t = next(t for t, mv in enumerate(moves) if mv.vertex == CENTER and t > 3)
+    b = next(t for t, mv in enumerate(moves) if mv.vertex == Vertex(2, 1))
+    v, chips = moves[t]
+    absent = tuple(c for c in range(1, 10) if c not in chips)[:3]
+
+    def swap(at, mv):
+        return moves[:at] + [mv] + moves[at + 1:]
+
+    return params, {
+        "wrong size": swap(t, Move(v, chips[:2])),
+        "unsorted": swap(b, Move(moves[b].vertex, moves[b].chips[::-1])),
+        "absent chips": swap(t, Move(v, absent)),
+        "level m": swap(b, Move(Vertex(2, 3), moves[b].chips)),
+        "past level m": swap(b, Move(Vertex(2, 4), moves[b].chips)),
+        "branch past k": swap(b, Move(Vertex(4, 1), moves[b].chips)),
+    }
+
+
+@pytest.mark.parametrize("case", ["wrong size", "unsorted", "absent chips", "level m", "past level m", "branch past k"])
+def test_illegal_moves_are_reported_as_by_the_object_model(case):
+    params, logs = _bad_logs()
+    moves = logs[case]
+    t, config, e = _object_replay(params, moves)
+    mv = moves[t - 1]
+    with pytest.raises(type(e)) as err:
+        replay(params, moves)
+    if isinstance(e, IllegalMoveError):
+        assert err.value.step == t
+        assert str(err.value) == str(IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {config!r}", t))
+    else:
+        assert str(err.value) == str(e)
+    report = verify_poset(SequenceLog(params, tuple(moves)))
+    replay_details = [v.detail for v in report.violations if v.rule == "illegal-replay"]
+    if case in ("wrong size", "unsorted", "absent chips"):
+        assert replay_details == [str(e)]
+    else:
+        # a fire off levels 0..m-1 breaks the closed-form fire counts first
+        assert [v.rule for v in report.violations] == ["fire-count-mismatch"]

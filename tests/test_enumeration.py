@@ -23,8 +23,8 @@ from starchip import (
     verify_rim_sorted,
     volmin_allowed_moves,
 )
-from starchip.core import LabeledConfig, _board, _fire, _fireable, _pack, _unpack
-from starchip.enumeration import _sweep, _volmin_fireable
+from starchip.core import LabeledConfig, _board, _fire, _fire_checked, _fireable, _pack, _unpack, _volmin_fireable
+from starchip.enumeration import _sweep
 from oracles import naive_sequence_counts, naive_total_sequences
 
 
@@ -199,8 +199,9 @@ def _packed_moves(board, state, slots):
 @settings(deadline=None)
 @given(st.data())
 def test_packed_kernel_matches_object_model(data):
-    # Random legal games, played through the packed kernel the searches use
-    # and through apply_move/legal_moves side by side.
+    # Random legal games, played through the packed kernel the searches and
+    # drivers use, the checked fire the replays use, and apply_move/legal_moves
+    # side by side.
     k = data.draw(st.integers(min_value=1, max_value=9), label="k")
     m = data.draw(st.integers(min_value=1, max_value=9 // k), label="m")
     params = StarParams(k, m)
@@ -217,7 +218,9 @@ def test_packed_kernel_matches_object_model(data):
             break
         mv = data.draw(st.sampled_from(moves), label="move")
         config = apply_move(config, mv)
-        state = _fire(board, state, board.slot[mv.vertex], mv.chips)
+        fired = _fire(board, state, board.slot[mv.vertex], mv.chips)
+        assert _fire_checked(board, state, mv) == fired
+        state = fired
 
 
 def test_sweep_refuses_a_dead_end_before_the_last_layer():
