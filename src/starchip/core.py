@@ -307,8 +307,11 @@ def _check_fire(params: StarParams, v: Vertex, have: Iterable[int], fired: tuple
     """The legality checks of firing ``fired`` at ``v`` while it holds the
     labels ``have``, shared by :func:`apply_move` and :func:`_fire_checked`.
 
-    Raises ValueError for a vertex off the star, else IllegalMoveError."""
-    d = degree(params, v)
+    Raises IllegalMoveError, also for a vertex off the star."""
+    try:
+        d = degree(params, v)
+    except ValueError:  # check_vertex: v is off the star
+        raise IllegalMoveError(v, fired, f"vertex is not on a star with k={params.k}") from None
     if len(fired) != d:
         raise IllegalMoveError(v, fired, f"must fire exactly {d} chips")
     if tuple(sorted(fired)) != fired or len(set(fired)) != d:

@@ -44,7 +44,7 @@ from .core import (
     initial_unlabeled,
     parse_move,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, derive_seed
 
 
 def expected_fire_count(params: StarParams, v: Vertex) -> int:
@@ -249,6 +249,20 @@ def stabilize_labeled(config: LabeledConfig, strategy: Strategy) -> tuple[Outcom
         # Level m never fires on the packed state; the game would fire it outward.
         raise ShapeError(f"chips pile up on level {m} and must pass it, so the game cannot end in the stable shape")
     return canonical_outcome(final), SequenceLog(params, tuple(moves))
+
+
+def random_games(params: StarParams, trials: int, seed: int) -> Iterator[tuple[int, Outcome, SequenceLog]]:
+    """Play ``trials`` random-play games from all chips on the center, one
+    at a time, yielding (trial seed, outcome, log) for each.
+
+    Trial i plays ``RandomUniform(derive_seed(seed, i))``, so each game
+    depends only on (params, seed, i), and ``stabilize --strategy random
+    --seed <trial seed>`` plays it again.
+    """
+    start = initial_labeled(params)
+    for i in range(trials):
+        trial_seed = derive_seed(seed, i)
+        yield (trial_seed, *stabilize_labeled(start, RandomUniform(trial_seed)))
 
 
 def replay(params: StarParams, moves: Iterable[Move] | Sequence[Move]) -> tuple[Outcome | LabeledConfig, SequenceLog]:

@@ -16,10 +16,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Outcome, StarParams, initial_labeled, is_totally_sorted, outcome_to_text
-from .engine import RandomUniform, stabilize_labeled
+from .core import Outcome, StarParams, is_totally_sorted, outcome_to_text
+from .engine import random_games
 from .enumeration import EnumerationResult
-from .rng import derive_seed
 from .tableaux import from_outcome
 
 
@@ -93,18 +92,12 @@ class FrequencyReport:
 
 
 def run_montecarlo(params: StarParams, trials: int, seed: int) -> FrequencyReport:
-    """Tally outcomes of ``trials`` independent random-play stabilizations.
-
-    Trial i uses a child seed derived from (seed, i), so the report depends
-    only on (params, trials, seed) and trials could run in any order.
-    """
+    """Tally outcomes of ``trials`` independent random-play stabilizations,
+    played by :func:`starchip.engine.random_games`, so the report depends
+    only on (params, trials, seed)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tally: Counter[Outcome] = Counter()
-    for i in range(trials):
-        strategy = RandomUniform(derive_seed(seed, i))
-        outcome, _ = stabilize_labeled(initial_labeled(params), strategy)
-        tally[outcome] += 1
+    tally = Counter(outcome for _, outcome, _ in random_games(params, trials, seed))
     per_outcome = {
         o: OutcomeStats(hits, from_outcome(o).is_standard, is_totally_sorted(o))
         for o, hits in tally.items()

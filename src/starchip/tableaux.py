@@ -25,6 +25,7 @@ from .core import (
     initial_labeled,
 )
 from .engine import expected_total_fires
+from .verify import verify_branch_sorted, verify_rim_sorted
 
 GENERATION_CELL_BUDGET = 12
 
@@ -212,11 +213,4 @@ def sort_rows(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 def is_row_and_rim_sorted(t: Tableau) -> bool:
     """True iff rows strictly increase and so do the first and last columns."""
-    k, m = t.shape
-    rows_ok = all(row[j] < row[j + 1] for row in t.rows for j in range(m - 1))
-    first = t.column(0)
-    last = t.column(m - 1)
-    rims_ok = all(a < b for a, b in zip(first, first[1:])) and all(
-        a < b for a, b in zip(last, last[1:])
-    )
-    return rows_ok and rims_ok
+    return verify_branch_sorted(t.rows) and verify_rim_sorted(t.rows)

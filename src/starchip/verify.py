@@ -39,7 +39,7 @@ from .core import (
     _pack,
     initial_labeled,
 )
-from .engine import SequenceLog, expected_fire_count
+from .engine import SequenceLog, expected_fire_count, expected_total_fires
 
 
 class FireRef(NamedTuple):
@@ -243,3 +243,16 @@ def verify_rim_sorted(outcome: Outcome) -> bool:
     return all(a < b for a, b in zip(inner, inner[1:])) and all(
         a < b for a, b in zip(outer, outer[1:])
     )
+
+
+def check_game(outcome: Outcome, log: SequenceLog) -> dict[str, bool]:
+    """Every check a complete game from all chips on the center must pass,
+    by name: the endgame order, the center's sends, both sorting guarantees
+    and the closed-form length."""
+    return {
+        "poset": verify_poset(log).passed,
+        "mixing": verify_mixing(log).passed,
+        "branches_sorted": verify_branch_sorted(outcome),
+        "rim_sorted": verify_rim_sorted(outcome),
+        "length_matches": len(log) == expected_total_fires(log.params),
+    }

@@ -9,30 +9,22 @@ from starchip import (
     CENTER,
     SequenceLog,
     StarParams,
-    RandomUniform,
     Tableau,
     Vertex,
     catalan,
     count_rect_syt,
-    derive_seed,
     enumerate_all,
     enumerate_volmin,
     expected_fire_count,
     expected_total_fires,
     from_outcome,
     generate_syts,
-    initial_labeled,
     is_row_and_rim_sorted,
     reachable_set,
     replay,
     sort_rows,
-    stabilize_labeled,
     stabilize_unlabeled,
     to_outcome,
-    verify_branch_sorted,
-    verify_mixing,
-    verify_poset,
-    verify_rim_sorted,
     witness_sequence,
 )
 from starchip.cli import main as cli_main
@@ -227,28 +219,16 @@ def test_criterion_06_volatility_minimizing_outcomes():
            not problems, "; ".join(problems))
 
 
-def test_criterion_07_thousand_random_logs_verify():
+def test_criterion_07_thousand_random_logs_verify(capsys):
     problems = []
     for k, m in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        params = StarParams(k, m)
-        lengths = set()
-        fire_maps = set()
-        for i in range(1000):
-            outcome, log = stabilize_labeled(
-                initial_labeled(params), RandomUniform(derive_seed(1000 * k + m, i))
-            )
-            if not verify_poset(log).passed:
-                problems.append(f"({k},{m}) trial {i}: endgame order check failed")
-            if not verify_mixing(log).passed:
-                problems.append(f"({k},{m}) trial {i}: center resend check failed")
-            if not (verify_branch_sorted(outcome) and verify_rim_sorted(outcome)):
-                problems.append(f"({k},{m}) trial {i}: outcome not sorted")
-            lengths.add(len(log))
-            fire_maps.add(tuple(sorted(log.per_vertex_fire_count.items())))
-        if lengths != {expected_total_fires(params)} or len(fire_maps) != 1:
-            problems.append(f"({k},{m}): logs disagree in length or fire counts")
+        argv = ["verify", "--k", str(k), "--m", str(m), "--samples", "1000", "--seed", str(1000 * k + m)]
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        if code != 0 or not out.endswith("verification: PASS\n"):
+            problems.append(f"({k},{m}): exit {code}; {err.strip() or out.splitlines()[-1]}")
     report(7, "1000 random logs per shape pass order/resend checks with sorted outcomes and "
-              "identical fire statistics", not problems, "; ".join(problems[:5]))
+              "identical fire statistics", not problems, "; ".join(problems))
 
 
 def test_criterion_08_scripted_replay_and_its_tableau(replay_3x3_text):

@@ -3,7 +3,11 @@ import tracemalloc
 
 import pytest
 
+import starchip.verify
+from starchip import StarParams, derive_seed
 from starchip.cli import main
+from starchip.engine import random_games
+from starchip.verify import VerifierReport
 
 
 def run_cli(capsys, argv):
@@ -145,6 +149,13 @@ class TestMontecarlo:
         assert "sequence counts (not play probabilities):" in out
         assert "total | 12" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, capsys, trials):
+        code, out, err = run_cli(capsys, ["montecarlo", "--k", "2", "--m", "2", "--trials", trials, "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "trials" in err
+
     def test_json_out_file(self, capsys, tmp_path):
         target = tmp_path / "mc.json"
         code, out, _ = run_cli(
@@ -158,10 +169,38 @@ class TestMontecarlo:
 
 class TestVerifyCommand:
     def test_passes_on_healthy_games(self, capsys):
-        code, out, _ = run_cli(capsys, ["verify", "--k", "2", "--m", "3", "--samples", "40", "--seed", "2"])
+        code, out, err = run_cli(capsys, ["verify", "--k", "2", "--m", "3", "--samples", "40", "--seed", "2"])
         assert code == 0
         assert "verification: PASS" in out
         assert "observed outcomes within the reachable set: yes" in out
+        assert err == ""
+
+    def test_failure_names_the_trial_and_a_reproducing_command(self, capsys, monkeypatch):
+        argv = ["verify", "--k", "2", "--m", "2", "--samples", "20", "--seed", "4"]
+        _, healthy, _ = run_cli(capsys, argv)
+        real = starchip.verify.verify_mixing
+
+        def broken(log):  # fails the games whose last fire sends chips 1 and 2
+            return VerifierReport(False) if log.moves[-1].chips == (1, 2) else real(log)
+
+        monkeypatch.setattr(starchip.verify, "verify_mixing", broken)
+        games = random_games(StarParams(2, 2), 20, 4)
+        failing = [i for i, (_, _, log) in enumerate(games) if not broken(log).passed]
+        assert 0 < failing[0] and len(failing) < 20
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        lines, before = out.splitlines(), healthy.splitlines()
+        assert lines[2] == f"center resend order check failures: {len(failing)}"
+        assert lines[-1] == "verification: FAIL"
+        assert lines[:2] + lines[3:-1] == before[:2] + before[3:-1]
+        i = failing[0]
+        seed = derive_seed(4, i)
+        head, command = err.rstrip("\n").split("; reproduce with: ")
+        assert head == f"trial {i} (seed {seed}) failed mixing"
+        assert command == f"starchip stabilize --k 2 --m 2 --strategy random --seed {seed} --verify"
+        code, out, _ = run_cli(capsys, command.split()[1:])
+        assert code == 1
+        assert "mixing=FAIL" in out
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_2(self, capsys, samples):

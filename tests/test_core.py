@@ -200,6 +200,10 @@ class TestApplyMove:
             apply_move(cfg, Move(CENTER, (1,)))  # wrong size
         with pytest.raises(IllegalMoveError):
             apply_move(cfg, Move(CENTER, (2, 1)))  # unsorted
+        with pytest.raises(IllegalMoveError) as err:
+            apply_move(cfg, Move(Vertex(3, 1), (1, 2)))  # branch past k
+        assert err.value.vertex == Vertex(3, 1)
+        assert err.value.reason == "vertex is not on a star with k=2"
 
 
 class TestCanonicalOutcome:
