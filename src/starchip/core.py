@@ -431,34 +431,32 @@ def _fire_checked(board: _Board, state: _State, move: Move) -> _State:
     return _fire(board, state, s, fired)
 
 
-def _calmest(fireable: list, count, deg, routes, level) -> list:
-    """The fireable vertices the volatility-minimizing filter keeps, in the
-    order given. The tables are dicts keyed by vertex, or tuples indexed by
-    packed slot.
+def _calmest(board: _Board, state: _State, fireable: list[int]) -> list[int]:
+    """The slots of the non-empty ``fireable`` that the volatility-minimizing
+    filter keeps, in the order given: those whose fire leaves the fewest
+    slots ready, and of those the ones furthest from the center.
 
-    Firing v leaves the other fireable vertices ready, v itself if it holds
+    Firing s leaves the other fireable slots ready, s itself if it holds
     a second fire's worth of chips, and every receiver its new chip brings
-    up to its degree.
+    up to its degree. The count depends on chip counts alone.
     """
+    deg, routes, level = board.deg, board.routes, board.level
     others = len(fireable) - 1
-
-    def volatility_after(v) -> int:
-        return others + (count[v] >= 2 * deg[v]) + sum(count[u] + 1 == deg[u] for u in routes[v])
-
-    scores = [volatility_after(v) for v in fireable]
+    scores = [
+        others + (len(state[s]) >= 2 * deg[s]) + sum(len(state[u]) + 1 == deg[u] for u in routes[s])
+        for s in fireable
+    ]
     best = min(scores)
-    calmest = [v for v, score in zip(fireable, scores) if score == best]
-    top_level = max(level[v] for v in calmest)
-    return [v for v in calmest if level[v] == top_level]
+    calmest = [s for s, score in zip(fireable, scores) if score == best]
+    top_level = max(level[s] for s in calmest)
+    return [s for s in calmest if level[s] == top_level]
 
 
 def _volmin_fireable(board: _Board, state: _State) -> list[int]:
-    """The slots that survive the volatility-minimizing filter (the packed
-    twin of :func:`starchip.enumeration.volmin_allowed_moves`)."""
+    """The slots that survive the volatility-minimizing filter, in canonical
+    vertex order; empty exactly when the state is stable."""
     fireable = _fireable(board, state)
-    if not fireable:
-        return fireable
-    return _calmest(fireable, [len(labels) for labels in state], board.deg, board.routes, board.level)
+    return _calmest(board, state, fireable) if fireable else fireable
 
 
 def canonical_outcome(config: LabeledConfig) -> Outcome:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .core import (
     ChipGameError,
@@ -31,13 +31,13 @@ from .core import (
     _Board,
     _State,
     _board,
+    _calmest,
     _fire,
     _fire_checked,
     _fireable,
     _pack,
     _receivers,
     _unpack,
-    _volmin_fireable,
     canonical_outcome,
     degree,
     initial_labeled,
@@ -148,17 +148,22 @@ def _unrank(pool: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
     return tuple(picked)
 
 
-# A strategy's ``pick(board, state)`` names the next fire on a packed state
-# (see starchip.core) as a slot and the sorted chips it fires there. It is
-# only called on a state with a fireable slot.
+class Strategy(Protocol):
+    """What :func:`stabilize_labeled` asks of a strategy."""
+
+    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
+        """The next fire on a packed state (see :mod:`starchip.core`), as a
+        slot and the sorted chips it fires there. ``fireable`` is the
+        driver's one scan of the state: the fireable slots in canonical
+        vertex order, never empty."""
 
 
 class Deterministic:
     """Always plays the canonically first legal move: the first fireable
     vertex and its smallest degree-many chips."""
 
-    def pick(self, board: _Board, state: _State) -> tuple[int, tuple[int, ...]]:
-        s = _fireable(board, state)[0]
+    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
+        s = fireable[0]
         return s, state[s][: board.deg[s]]
 
 
@@ -169,8 +174,7 @@ class RandomUniform:
     def __init__(self, seed: int):
         self._rng = SplitMix64(seed)
 
-    def pick(self, board: _Board, state: _State) -> tuple[int, tuple[int, ...]]:
-        fireable = _fireable(board, state)
+    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
         s = fireable[self._rng.randrange(len(fireable))]
         return s, self._rng.subset(state[s], board.deg[s])
 
@@ -182,14 +186,14 @@ class VolatilityMinimizing:
 
     The moves are never built. One draw ``r`` below their number, which is
     the sum of C(chips, degree) over the surviving vertices, selects the
-    move :func:`starchip.enumeration.volmin_allowed_moves` lists at index
-    ``r``; it is unranked from that vertex's chips alone."""
+    r-th of them in canonical order (vertex first, then chips in
+    lexicographic order); it is unranked from that vertex's chips alone."""
 
     def __init__(self, seed: int):
         self._rng = SplitMix64(seed)
 
-    def pick(self, board: _Board, state: _State) -> tuple[int, tuple[int, ...]]:
-        slots = _volmin_fireable(board, state)
+    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
+        slots = _calmest(board, state, fireable)
         sizes = [comb(len(state[s]), board.deg[s]) for s in slots]
         r = self._rng.randrange(sum(sizes))
         for s, size in zip(slots, sizes):
@@ -198,8 +202,6 @@ class VolatilityMinimizing:
             r -= size
         return s, _unrank(state[s], board.deg[s], r)
 
-
-Strategy = Deterministic | RandomUniform | VolatilityMinimizing
 
 _STRATEGY_NAMES = ("det", "random", "volmin")
 
@@ -235,13 +237,13 @@ def stabilize_labeled(config: LabeledConfig, strategy: Strategy) -> tuple[Outcom
     state = _pack(config)
     ceiling = 10 * max(1, expected_total_fires(params))
     moves: list[Move] = []
-    while _fireable(board, state):
+    while fireable := _fireable(board, state):
         if len(moves) >= ceiling:
             raise ChipGameError(
                 f"stabilization exceeded {ceiling} moves on k={params.k}, m={params.m}; "
                 "strategy or rules are broken"
             )
-        s, chips = strategy.pick(board, state)
+        s, chips = strategy.pick(board, state, fireable)
         state = _fire(board, state, s, chips)
         moves.append(Move(board.vertex[s], chips))
     final = _unpack(params, state)

@@ -20,24 +20,18 @@ from typing import Callable
 from .core import (
     BudgetExceededError,
     ChipGameError,
-    LabeledConfig,
-    Move,
     Outcome,
     StarParams,
     _Board,
     _State,
     _board,
-    _calmest,
     _fire,
     _fireable,
     _pack,
-    _receivers,
     _unpack,
     _volmin_fireable,
     canonical_outcome,
-    degree,
     initial_labeled,
-    legal_moves,
 )
 from .engine import expected_total_fires
 
@@ -150,26 +144,6 @@ def reachable_set(params: StarParams, max_states: int | None = None) -> set[Outc
     """All stable outcomes reachable from the all-on-center start."""
     _check_budget(params, max_states, DEFAULT_CELL_BUDGET)
     return set(_sweep(params, max_states, _fireable))
-
-
-def volmin_allowed_moves(config: LabeledConfig) -> list[Move]:
-    """Legal moves surviving the volatility-minimizing filter.
-
-    A vertex survives when firing it leaves the fewest ready-to-fire vertices
-    (this depends only on chip counts, not on which chips fire); among the
-    survivors only those furthest from the center are kept. All chip-subset
-    choices at the surviving vertices are returned, in canonical order.
-    """
-    params = config.params
-    fireable = list(config.fireable_vertices())
-    if not fireable:
-        return []
-    routes = {v: _receivers(params.k, v) for v in fireable}
-    near = set(fireable).union(*routes.values())
-    count = {u: config.count_at(u) for u in near}
-    deg = {u: degree(params, u) for u in near}
-    keep = set(_calmest(fireable, count, deg, routes, {v: v.level for v in fireable}))
-    return [mv for mv in legal_moves(config) if mv.vertex in keep]
 
 
 def enumerate_volmin(params: StarParams, max_states: int | None = None) -> set[Outcome]:

@@ -14,17 +14,16 @@ from typing import Sequence
 
 from .core import (
     BudgetExceededError,
-    CENTER,
     ChipGameError,
     Move,
     Outcome,
     StarParams,
     WitnessConstructionError,
-    apply_move,
-    canonical_outcome,
+    _Board,
+    _State,
     initial_labeled,
 )
-from .engine import expected_total_fires
+from .engine import stabilize_labeled
 from .verify import verify_branch_sorted, verify_rim_sorted
 
 GENERATION_CELL_BUDGET = 12
@@ -60,10 +59,7 @@ class Tableau:
 
     @property
     def is_standard(self) -> bool:
-        k, m = self.shape
-        rows_ok = all(row[j] < row[j + 1] for row in self.rows for j in range(m - 1))
-        cols_ok = all(self.rows[i][j] < self.rows[i + 1][j] for i in range(k - 1) for j in range(m))
-        return rows_ok and cols_ok
+        return verify_branch_sorted(self.rows) and _columns_strictly_increase(self.rows)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
@@ -80,8 +76,10 @@ def from_outcome(outcome: Outcome) -> Tableau:
 def to_outcome(t: Tableau) -> Outcome:
     """The stable outcome whose branch i, level j holds entry (i, j).
 
-    Defined only for standard tableaux: those are exactly the fillings this
-    map sends to reachable outcomes.
+    Defined only for standard tableaux. Every standard filling is a
+    reachable outcome (see :func:`witness_sequence`), but not every
+    reachable outcome is standard: (2,4) has 16 reachable outcomes and 14
+    standard fillings.
     """
     if not t.is_standard:
         raise ValueError(f"tableau {t} is not standard")
@@ -138,6 +136,34 @@ def generate_syts(k: int, m: int) -> list[Tableau]:
     return results
 
 
+class _WitnessScript:
+    """The strategy behind :func:`witness_sequence` for a standard tableau.
+
+    The innermost ready branch vertex fires first (lowest level, then lowest
+    branch), and it must hold exactly two chips. When only the center can
+    fire, it fires the highest column of the tableau that it holds in full.
+    """
+
+    def __init__(self, t: Tableau):
+        self._tableau = t
+        # Columns of a standard tableau increase downward, so each is sorted.
+        self._columns = [t.column(j) for j in range(t.shape[1])]
+
+    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
+        level = board.level
+        branch = [s for s in fireable if level[s]]
+        if branch:
+            s = min(branch, key=lambda s: (level[s], s))
+            if len(state[s]) != 2:
+                raise WitnessConstructionError(f"branch vertex {board.vertex[s]} holds {list(state[s])}")
+            return s, state[s]
+        present = set(state[0])
+        for column in reversed(self._columns):
+            if present.issuperset(column):
+                return 0, column
+        raise WitnessConstructionError(f"center holds {list(state[0])}, no full column of {self._tableau}")
+
+
 def witness_sequence(t: Tableau) -> list[Move]:
     """A legal firing script from the all-on-center start that lands on
     ``to_outcome(t)``.
@@ -148,42 +174,14 @@ def witness_sequence(t: Tableau) -> list[Move]:
     is fully present there. Columns of a standard tableau increase downward,
     so each such center fire routes every chip to its own row's branch.
 
-    The construction is validated by replay; a failure raises
-    WitnessConstructionError and indicates a bug, not bad input.
+    A script that breaks this rule or lands elsewhere raises
+    WitnessConstructionError, which indicates a bug, not bad input.
     """
     outcome = to_outcome(t)
-    k, m = t.shape
-    params = StarParams(k, m)
-    columns = [frozenset(t.column(j)) for j in range(m)]
-    config = initial_labeled(params)
-    moves: list[Move] = []
-    cap = expected_total_fires(params)
-    while not config.is_stable:
-        if len(moves) > cap:
-            raise WitnessConstructionError(f"script for {t} exceeded {cap} moves")
-        branch_ready = sorted(
-            (v for v in config.chips if not v.is_center and len(config.chips[v]) >= 2),
-            key=lambda v: (v.level, v.branch),
-        )
-        if branch_ready:
-            v = branch_ready[0]
-            chips = config.labels_at(v)
-            if len(chips) != 2:
-                raise WitnessConstructionError(f"branch vertex {v} holds {sorted(chips)}")
-            mv = Move(v, tuple(sorted(chips)))
-        else:
-            present = config.labels_at(CENTER)
-            full = [j for j in range(m) if columns[j] <= present]
-            if not full:
-                raise WitnessConstructionError(
-                    f"center holds {sorted(present)}, no full column of {t}"
-                )
-            mv = Move(CENTER, tuple(sorted(columns[max(full)])))
-        config = apply_move(config, mv)
-        moves.append(mv)
-    if canonical_outcome(config) != outcome:
+    final, log = stabilize_labeled(initial_labeled(StarParams(*t.shape)), _WitnessScript(t))
+    if final != outcome:
         raise WitnessConstructionError(f"script for {t} stabilized elsewhere")
-    return moves
+    return list(log.moves)
 
 
 def _columns_strictly_increase(grid: tuple[tuple[int, ...], ...]) -> bool:

@@ -64,15 +64,25 @@ class VerifierReport:
     def to_json(self) -> str:
         doc = {
             "passed": self.passed,
-            "violations": [{"rule": v.rule, "detail": v.detail} for v in self.violations],
+            "violations": [
+                {"rule": v.rule, "subject": v.subject, "detail": v.detail} for v in self.violations
+            ],
         }
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "VerifierReport":
+        """Read a report back. A subject's nested lists come back as nested
+        tuples, which compare equal to the FireRefs and Vertices written."""
         doc = json.loads(text)
-        violations = tuple(Violation(v["rule"], (), v["detail"]) for v in doc["violations"])
+        violations = tuple(
+            Violation(v["rule"], _tuples(v["subject"]), v["detail"]) for v in doc["violations"]
+        )
         return cls(doc["passed"], violations)
+
+
+def _tuples(x):
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
 
 
 def _report(violations: list[Violation]) -> VerifierReport:

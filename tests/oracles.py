@@ -102,17 +102,36 @@ def _naive_ready(cfg, k):
     return list(dict.fromkeys(v for v, _ in _naive_moves(cfg, k)))
 
 
+def naive_volmin_moves(cfg, k: int) -> list:
+    """The legal moves the volatility-minimizing filter allows, in the order
+    ``_naive_moves`` lists them; empty exactly when ``cfg`` is stable.
+
+    It trial-fires one move per ready vertex, counts the vertices still
+    ready afterwards, keeps the minimum and then the highest level (the
+    center is level 0).
+    """
+    moves = _naive_moves(cfg, k)
+    first = {}
+    for v, chips in moves:
+        first.setdefault(v, (v, chips))
+    if not first:
+        return []
+    after = {v: len(_naive_ready(_naive_apply(cfg, mv, k), k)) for v, mv in first.items()}
+    calm = [v for v in first if after[v] == min(after.values())]
+    level = {v: 0 if v == CENTER else v[1] for v in calm}
+    keep = {v for v in calm if level[v] == max(level.values())}
+    return [mv for mv in moves if mv[0] in keep]
+
+
 def naive_play(k: int, m: int, strategy: str, seed: int) -> list:
     """One labeled game from the all-on-center start, as a list of
     ``(vertex, chips)`` moves with vertex ``"C"`` or ``(branch, level)``.
 
     ``strategy`` is ``"det"`` (the first legal move), ``"random"`` (a ready
     vertex uniformly, then its chips drawn one at a time without
-    replacement from the sorted pool) or ``"volmin"``. The volmin filter
-    trial-fires one move per ready vertex, counts the vertices still ready
-    afterwards, keeps the minimum and then the highest level (the center is
-    level 0). The random and volmin players index the full list they built
-    with ``SplitMix64.randrange``.
+    replacement from the sorted pool) or ``"volmin"`` (a move that
+    ``naive_volmin_moves`` allows). The random and volmin players index the
+    full list they built with ``SplitMix64.randrange``.
     """
     rng = SplitMix64(seed)
     cfg = {CENTER: frozenset(range(1, k * m + 1))}
@@ -130,14 +149,7 @@ def naive_play(k: int, m: int, strategy: str, seed: int) -> list:
             picked = [pool.pop(rng.randrange(len(pool))) for _ in range(k if v == CENTER else 2)]
             mv = (v, tuple(sorted(picked)))
         elif strategy == "volmin":
-            first = {}
-            for v, chips in moves:
-                first.setdefault(v, (v, chips))
-            after = {v: len(_naive_ready(_naive_apply(cfg, mv, k), k)) for v, mv in first.items()}
-            calm = [v for v in first if after[v] == min(after.values())]
-            level = {v: 0 if v == CENTER else v[1] for v in calm}
-            keep = {v for v in calm if level[v] == max(level.values())}
-            allowed = [mv for mv in moves if mv[0] in keep]
+            allowed = naive_volmin_moves(cfg, k)
             mv = allowed[rng.randrange(len(allowed))]
         else:
             raise ValueError(f"unknown strategy {strategy!r}")

@@ -18,6 +18,7 @@ from starchip import (
     apply_move,
     expected_fire_count,
     expected_total_fires,
+    from_outcome,
     initial_labeled,
     make_strategy,
     outcome_to_text,
@@ -207,6 +208,19 @@ def test_games_match_the_naive_driver(k, m, name):
         _, log = stabilize_labeled(initial_labeled(params), make_strategy(name, seed))
         moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
         assert moves == naive_play(k, m, name, seed)
+
+
+def test_volmin_play_reaches_a_filling_that_is_not_standard():
+    # At (3,4) volmin play ends outside the standard-tableau image: 639
+    # outcomes against 462 SYT in the exhaustive search. Seed 413 is one
+    # such game, and the naive driver plays it fire for fire.
+    outcome, log = stabilize_labeled(initial_labeled(StarParams(3, 4)), VolatilityMinimizing(413))
+    assert outcome_to_text(outcome) == "[1,4,5,9],[2,3,7,11],[6,8,10,12]"
+    assert [row[1] for row in outcome] == [4, 3, 8]
+    assert not from_outcome(outcome).is_standard
+    moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
+    assert len(moves) == 40
+    assert moves == naive_play(3, 4, "volmin", 413)
 
 
 def test_unrank_lists_every_combination_in_order():

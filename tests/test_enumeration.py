@@ -21,11 +21,10 @@ from starchip import (
     generate_syts,
     verify_branch_sorted,
     verify_rim_sorted,
-    volmin_allowed_moves,
 )
 from starchip.core import LabeledConfig, _board, _fire, _fire_checked, _fireable, _pack, _unpack, _volmin_fireable
 from starchip.enumeration import _sweep
-from oracles import naive_sequence_counts, naive_total_sequences
+from oracles import naive_sequence_counts, naive_total_sequences, naive_volmin_moves
 
 
 class TestEnumerateAll:
@@ -146,26 +145,34 @@ class TestReachableSet:
 
 class TestVolminFilter:
     def test_only_center_fireable_passes_through(self):
-        cfg = initial_labeled(StarParams(2, 2))
-        assert volmin_allowed_moves(cfg) == legal_moves(cfg)
+        board = _board(StarParams(2, 2))
+        state = _pack(initial_labeled(StarParams(2, 2)))
+        assert _volmin_fireable(board, state) == _fireable(board, state) == [0]
 
     def test_level_one_wave_after_two_center_fires(self):
         cfg = initial_labeled(StarParams(2, 2))
         cfg = apply_move(cfg, Move(CENTER, (1, 2)))
         cfg = apply_move(cfg, Move(CENTER, (3, 4)))
-        moves = volmin_allowed_moves(cfg)
-        assert {mv.vertex for mv in moves} == {Vertex(1, 1), Vertex(2, 1)}
+        board = _board(cfg.params)
+        slots = _volmin_fireable(board, _pack(cfg))
+        assert {board.vertex[s] for s in slots} == {Vertex(1, 1), Vertex(2, 1)}
 
     def test_tie_broken_toward_outer_vertex(self):
-        cfg = LabeledConfig(StarParams(2, 2), {CENTER: {1, 2}, Vertex(1, 2): {3, 4}})
-        assert volmin_allowed_moves(cfg) == [Move(Vertex(1, 2), (3, 4))]
+        # Firing either ready vertex leaves one ready vertex. Level m never
+        # fires on the packed state, so the outer vertex sits below it.
+        cfg = LabeledConfig(
+            StarParams(2, 3), {CENTER: {1, 2}, Vertex(1, 2): {3, 4}, Vertex(2, 2): {5}, Vertex(2, 3): {6}}
+        )
+        board = _board(cfg.params)
+        state = _pack(cfg)
+        assert _packed_moves(board, state, _volmin_fireable(board, state)) == [Move(Vertex(1, 2), (3, 4))]
 
     def test_empty_iff_stable(self):
         stable = LabeledConfig(
             StarParams(2, 2),
             {Vertex(i, j): {2 * (i - 1) + j} for i in (1, 2) for j in (1, 2)},
         )
-        assert volmin_allowed_moves(stable) == []
+        assert _volmin_fireable(_board(stable.params), _pack(stable)) == []
 
 
 class TestEnumerateVolmin:
@@ -196,12 +203,17 @@ def _packed_moves(board, state, slots):
     return [Move(board.vertex[s], chips) for s in slots for chips in combinations(state[s], board.deg[s])]
 
 
+def _naive_vertex(v):
+    """A vertex in the oracle's form: "C" or (branch, level)."""
+    return "C" if v == CENTER else tuple(v)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_packed_kernel_matches_object_model(data):
     # Random legal games, played through the packed kernel the searches and
-    # drivers use, the checked fire the replays use, and apply_move/legal_moves
-    # side by side.
+    # drivers use, the checked fire the replays use, apply_move/legal_moves
+    # and the oracle's volmin filter side by side.
     k = data.draw(st.integers(min_value=1, max_value=9), label="k")
     m = data.draw(st.integers(min_value=1, max_value=9 // k), label="m")
     params = StarParams(k, m)
@@ -213,7 +225,9 @@ def test_packed_kernel_matches_object_model(data):
         assert _pack(config) == state
         moves = legal_moves(config)
         assert _packed_moves(board, state, _fireable(board, state)) == moves
-        assert _packed_moves(board, state, _volmin_fireable(board, state)) == volmin_allowed_moves(config)
+        volmin = _packed_moves(board, state, _volmin_fireable(board, state))
+        naive_config = {_naive_vertex(v): labels for v, labels in config.chips.items()}
+        assert [(_naive_vertex(v), chips) for v, chips in volmin] == naive_volmin_moves(naive_config, k)
         if not moves:
             break
         mv = data.draw(st.sampled_from(moves), label="move")

@@ -119,6 +119,15 @@ class TestWitnessSequences:
         final, _ = replay(StarParams(2, 2), moves)
         assert final == ((1, 3), (2, 4))
 
+    def test_script_follows_the_documented_rule(self):
+        # Ready branch vertices fire innermost first, lower branch first on
+        # a level; otherwise the center fires its highest full column.
+        script = " ".join(map(str, witness_sequence(Tableau(((1, 2, 4), (3, 5, 6))))))
+        assert script == (
+            "C:{4,6} C:{2,5} B(1,1):{2,4} B(2,1):{5,6} C:{2,5} C:{1,3} B(1,1):{1,2} "
+            "B(2,1):{3,5} B(1,2):{2,4} B(2,2):{5,6} C:{1,3} B(1,1):{1,2} B(2,1):{3,5} C:{1,3}"
+        )
+
     def test_totally_sorted_three_by_three(self):
         t = Tableau(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
         final, _ = replay(StarParams(3, 3), witness_sequence(t))

@@ -29,6 +29,20 @@ def det_log(k: int, m: int) -> SequenceLog:
     return log
 
 
+def forged_order_swap() -> SequenceLog:
+    """A (2,2) log with the center's last fire moved before branch 2's."""
+    return SequenceLog(
+        StarParams(2, 2),
+        (
+            Move(CENTER, (1, 2)),
+            Move(CENTER, (3, 4)),
+            Move(Vertex(1, 1), (1, 3)),
+            Move(CENTER, (1, 2)),
+            Move(Vertex(2, 1), (2, 4)),
+        ),
+    )
+
+
 class TestEndgamePositions:
     def test_single_move_game(self):
         log = det_log(1, 1)
@@ -78,18 +92,7 @@ class TestVerifyPoset:
             assert verify_poset(log).passed
 
     def test_forged_order_swap_is_caught(self):
-        params = StarParams(2, 2)
-        forged = SequenceLog(
-            params,
-            (
-                Move(CENTER, (1, 2)),
-                Move(CENTER, (3, 4)),
-                Move(Vertex(1, 1), (1, 3)),
-                Move(CENTER, (1, 2)),
-                Move(Vertex(2, 1), (2, 4)),
-            ),
-        )
-        report = verify_poset(forged)
+        report = verify_poset(forged_order_swap())
         assert not report.passed
         rules = {v.rule for v in report.violations}
         assert "branch-precedes-center" in rules
@@ -164,13 +167,14 @@ class TestReportSerialization:
         doc = json.loads(report.to_json())
         assert doc == {
             "passed": False,
-            "violations": [{"rule": "center-send-increased", "detail": "went up"}],
+            "violations": [{"rule": "center-send-increased", "subject": [0, 1, 2], "detail": "went up"}],
         }
-        back = VerifierReport.from_json(report.to_json())
-        assert back.passed == report.passed
-        assert [(v.rule, v.detail) for v in back.violations] == [
-            (v.rule, v.detail) for v in report.violations
-        ]
+        assert VerifierReport.from_json(report.to_json()) == report
+        # A real failing report: FireRef pairs and a step index as subjects.
+        report = verify_poset(forged_order_swap())
+        assert not report.passed
+        assert {type(v.subject[0]) for v in report.violations} == {FireRef, int}
+        assert VerifierReport.from_json(report.to_json()) == report
 
     def test_passing_report_json(self):
         report = verify_poset(det_log(2, 2))
