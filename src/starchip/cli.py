@@ -9,7 +9,7 @@ Subcommands:
   verify      run seeded random games through every sequence/outcome check
 
 Exit codes: 0 on success, 1 when a requested verification fails, 2 on
-argument or budget errors.
+argument or budget errors and on an --out file that cannot be written.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .core import (
     initial_labeled,
     outcome_to_text,
 )
-from .engine import make_strategy, random_games, stabilize_labeled
+from .engine import _STRATEGY_NAMES, make_strategy, random_games, stabilize_labeled
 from .enumeration import DEFAULT_CELL_BUDGET, enumerate_all, enumerate_volmin, reachable_set
 from .reports import emit_table, run_montecarlo, write_atomic
 from .tableaux import count_rect_syt, generate_syts, to_outcome, witness_sequence
@@ -131,7 +131,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
     report = run_montecarlo(params, args.trials, args.seed)
     text = emit_table(report, "json" if args.json else "text")
-    if args.with_enumeration and not args.json:
+    if args.with_enumeration:
         if params.n_chips <= DEFAULT_CELL_BUDGET:
             text += "\nsequence counts (not play probabilities):\n"
             text += emit_table(enumerate_all(params), "text")
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stabilize", help="play one game to stability")
     _add_km(p)
-    p.add_argument("--strategy", choices=["det", "random", "volmin"], default="det")
+    p.add_argument("--strategy", choices=_STRATEGY_NAMES, default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action="store_true", help="run all checks on the produced log")
@@ -215,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_km(p)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write output to FILE atomically")
-    p.add_argument("--with-enumeration", action="store_true",
-                   help="append the sequence-count table (text mode only)")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--json", action="store_true")
+    form.add_argument("--with-enumeration", action="store_true", help="append the sequence-count table")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("verify", help="random logs through all verifiers")
@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ChipGameError, ValueError) as e:
+    except (ChipGameError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

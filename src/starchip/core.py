@@ -345,13 +345,14 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
     return LabeledConfig(params, new)
 
 
-# Packed state: the unchecked twin of LabeledConfig that the exhaustive
-# searches, the game drivers and the replays run on. It is a flat tuple
-# indexed by vertex slot, slot 0 being the center and slot 1 + (i-1)*m + (j-1)
-# branch i, level j, and each slot holds the sorted tuple of its labels.
-# Started from k*m chips on the center, level m never fires (see
-# engine.expected_fire_count), so no chip passes it and the slots cover every
-# reachable state.
+# Packed state: what the exhaustive searches, the game drivers, the replays
+# and the verifiers run on, from _Board.start to the matrix _outcome reads
+# off. It is a flat tuple indexed by vertex slot, slot 0 being the center and
+# slot 1 + (i-1)*m + (j-1) branch i, level j, and each slot holds the sorted
+# tuple of its labels. Started from k*m chips on the center, level m never
+# fires (see engine.expected_fire_count), so no chip passes it and the slots
+# cover every reachable state. LabeledConfig is the checked public form;
+# _pack and _unpack convert at the edges.
 
 _State = tuple[tuple[int, ...], ...]
 
@@ -369,6 +370,8 @@ class _Board(NamedTuple):
     """Receiving slots of each slot, as :func:`_receivers` orders them; empty at level m."""
     firing: tuple[int, ...]
     """The slots below level m, the only ones that ever fire."""
+    start: _State
+    """The labeled game's start: every label on the center."""
 
 
 @lru_cache(maxsize=None)
@@ -385,14 +388,18 @@ def _board(params: StarParams) -> _Board:
         level=tuple(v.level for v in vertex),
         routes=routes,
         firing=tuple(s for s, r in enumerate(routes) if r),
+        start=(tuple(range(1, params.n_chips + 1)),) + ((),) * (k * m),
     )
 
 
 def _pack(config: LabeledConfig) -> _State:
-    """The packed state of a configuration whose chips all lie on levels <= m."""
+    """The packed state of a configuration. A chip past level m has no slot
+    and never comes back inside, so it raises ShapeError."""
     board = _board(config.params)
     state: list[tuple[int, ...]] = [()] * len(board.vertex)
     for v, labels in config.chips.items():
+        if v not in board.slot:  # LabeledConfig keeps v on the star, so v.level > m
+            raise ShapeError(f"chips lie past level {config.params.m}, so no game from here ends in the stable shape")
         state[board.slot[v]] = tuple(sorted(labels))
     return tuple(state)
 
@@ -459,25 +466,31 @@ def _volmin_fireable(board: _Board, state: _State) -> list[int]:
     return _calmest(board, state, fireable) if fireable else fireable
 
 
-def canonical_outcome(config: LabeledConfig) -> Outcome:
-    """Read a stabilized configuration off as a k x m label matrix.
+def _outcome(board: _Board, state: _State) -> Outcome:
+    """Read a stabilized packed state off as a k x m label matrix.
 
-    Requires exactly one chip on each of the first m vertices of every branch
-    and nothing anywhere else, which is the only stable shape reachable from
-    the all-on-center start. Anything else raises ShapeError.
+    Requires the only stable shape reachable from the all-on-center start:
+    one chip on each of the first m levels of every branch, none on the
+    center, and the labels 1..k*m. Anything else raises ShapeError.
     """
-    params = config.params
-    if not config.is_stable:
+    m, n = board.params.m, board.params.n_chips
+    rows = [state[s : s + m] for s in range(1, len(state), m)]
+    if any(len(row[-1]) > 1 for row in rows):  # level m never fires on the packed state
+        raise ShapeError(f"chips pile up on level {m} and must pass it, so the game cannot end in the stable shape")
+    if _fireable(board, state):
         raise ShapeError("configuration is not stable")
-    expected = {Vertex(i, j) for i in range(1, params.k + 1) for j in range(1, params.m + 1)}
-    if set(config.chips) != expected or any(len(s) != 1 for s in config.chips.values()):
-        raise ShapeError(
-            f"stable configuration does not fill exactly levels 1..{params.m} of each branch"
-        )
-    return tuple(
-        tuple(next(iter(config.chips[Vertex(i, j)])) for j in range(1, params.m + 1))
-        for i in range(1, params.k + 1)
-    )
+    if state[0] or any(len(labels) != 1 for row in rows for labels in row):
+        raise ShapeError(f"stable configuration does not fill exactly levels 1..{m} of each branch")
+    outcome = tuple(tuple(labels[0] for labels in row) for row in rows)
+    if sorted(c for row in outcome for c in row) != list(range(1, n + 1)):
+        raise ShapeError(f"the labels are not 1..{n}, each once")
+    return outcome
+
+
+def canonical_outcome(config: LabeledConfig) -> Outcome:
+    """Read a stabilized configuration off as a k x m label matrix, with the
+    checks of :func:`_outcome`."""
+    return _outcome(_board(config.params), _pack(config))
 
 
 def outcome_to_text(outcome: Outcome) -> str:

@@ -8,7 +8,7 @@ counts have a closed form, exposed here as :func:`expected_fire_count` and
 
 The labeled game is played and replayed on the packed state of
 :mod:`starchip.core`: a strategy names each fire as a slot and its chips,
-and only the final state is validated as a :class:`LabeledConfig`.
+and the final state is checked once, as ``core._outcome`` reads it off.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ from .core import (
     _fire,
     _fire_checked,
     _fireable,
+    _outcome,
     _pack,
     _receivers,
     _unpack,
-    canonical_outcome,
     degree,
     initial_labeled,
     initial_unlabeled,
@@ -207,7 +207,7 @@ _STRATEGY_NAMES = ("det", "random", "volmin")
 
 
 def make_strategy(name: str, seed: int = 0) -> Strategy:
-    if name in ("det", "deterministic"):
+    if name == "det":
         return Deterministic()
     if name == "random":
         return RandomUniform(seed)
@@ -222,17 +222,14 @@ def stabilize_labeled(config: LabeledConfig, strategy: Strategy) -> tuple[Outcom
     Returns the canonical outcome matrix and the full move log. The game runs
     on the packed state of :mod:`starchip.core`, so a fire copies one tuple
     of per-vertex label tuples and validates nothing; the final state is
-    validated once. A ceiling of 10x the closed-form sequence length guards
-    against a selection bug turning into a hang.
+    checked once, as it is read off. A ceiling of 10x the closed-form
+    sequence length guards against a selection bug turning into a hang.
 
     Raises ShapeError for a start with chips past level m, or when a chip
     would have to pass it later: a branch's outermost occupied level never
     falls, so neither game can end in the stable shape.
     """
     params = config.params
-    m = params.m
-    if any(v.level > m for v in config.chips):
-        raise ShapeError(f"the start has chips past level {m}, so it cannot end in the stable shape")
     board = _board(params)
     state = _pack(config)
     ceiling = 10 * max(1, expected_total_fires(params))
@@ -246,11 +243,7 @@ def stabilize_labeled(config: LabeledConfig, strategy: Strategy) -> tuple[Outcom
         s, chips = strategy.pick(board, state, fireable)
         state = _fire(board, state, s, chips)
         moves.append(Move(board.vertex[s], chips))
-    final = _unpack(params, state)
-    if not final.is_stable:
-        # Level m never fires on the packed state; the game would fire it outward.
-        raise ShapeError(f"chips pile up on level {m} and must pass it, so the game cannot end in the stable shape")
-    return canonical_outcome(final), SequenceLog(params, tuple(moves))
+    return _outcome(board, state), SequenceLog(params, tuple(moves))
 
 
 def random_games(params: StarParams, trials: int, seed: int) -> Iterator[tuple[int, Outcome, SequenceLog]]:
@@ -276,7 +269,7 @@ def replay(params: StarParams, moves: Iterable[Move] | Sequence[Move]) -> tuple[
     :func:`starchip.core.apply_move` checks it, on the packed state.
     """
     board = _board(params)
-    state = _pack(initial_labeled(params))
+    state = board.start
     played: list[Move] = []
     for t, mv in enumerate(moves, start=1):
         try:
@@ -286,7 +279,7 @@ def replay(params: StarParams, moves: Iterable[Move] | Sequence[Move]) -> tuple[
             raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {config!r}", step=t) from None
         played.append(mv)
     log = SequenceLog(params, tuple(played))
-    config = _unpack(params, state)
-    if config.is_stable:
-        return canonical_outcome(config), log
-    return config, log
+    try:
+        return _outcome(board, state), log
+    except ShapeError:  # from this start, every state but the stable shape is unstable
+        return _unpack(params, state), log

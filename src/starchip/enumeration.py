@@ -8,7 +8,8 @@ adds its path count to every child in the next layer, one child per legal
 move, and only two layers are ever held. After ``expected_total_fires``
 layers the counts are the stabilization-sequence counts of the stable
 outcomes, in Python's native big integers. The sweep runs on the packed state
-of :mod:`starchip.core`; only the final stable states are validated.
+of :mod:`starchip.core`; only the final stable states are checked, as they
+are read off.
 """
 from __future__ import annotations
 
@@ -27,11 +28,8 @@ from .core import (
     _board,
     _fire,
     _fireable,
-    _pack,
-    _unpack,
+    _outcome,
     _volmin_fireable,
-    canonical_outcome,
-    initial_labeled,
 )
 from .engine import expected_total_fires
 
@@ -98,7 +96,7 @@ def _sweep(
     board = _board(params)
     deg = board.deg
     total = expected_total_fires(params)
-    layer = {_pack(initial_labeled(params)): 1}
+    layer = {board.start: 1}
     states = 1
     for depth in range(1, total + 1):
         nxt: dict[_State, int] = {}
@@ -121,7 +119,7 @@ def _sweep(
                     else:
                         nxt[child] = known + paths
         layer = nxt
-    return {canonical_outcome(_unpack(params, state)): paths for state, paths in layer.items()}
+    return {_outcome(board, state): paths for state, paths in layer.items()}
 
 
 def enumerate_all(params: StarParams, max_states: int | None = None) -> EnumerationResult:

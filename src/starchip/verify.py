@@ -36,8 +36,7 @@ from .core import (
     CENTER,
     _board,
     _fire_checked,
-    _pack,
-    initial_labeled,
+    _receivers,
 )
 from .engine import SequenceLog, expected_fire_count, expected_total_fires
 
@@ -92,12 +91,8 @@ def _report(violations: list[Violation]) -> VerifierReport:
 def endgame_refs(params: StarParams) -> list[FireRef]:
     """Every endgame fire of a full stabilization: level j contributes its
     last m-j fires, for j in [0, m-1]."""
-    m = params.m
-    refs = [FireRef(CENTER, f) for f in range(m)]
-    for i in range(1, params.k + 1):
-        for j in range(1, m):
-            refs.extend(FireRef(Vertex(i, j), f) for f in range(m - j))
-    return refs
+    board = _board(params)
+    return [FireRef(board.vertex[s], f) for s in board.firing for f in range(params.m - board.level[s])]
 
 
 def is_endgame(params: StarParams, ref: FireRef) -> bool:
@@ -110,12 +105,9 @@ def _check_counts(log: SequenceLog) -> dict[Vertex, list[int]]:
     occurrences: dict[Vertex, list[int]] = {}
     for t, mv in enumerate(log.moves):
         occurrences.setdefault(mv.vertex, []).append(t)
-    expected = {
-        v: expected_fire_count(params, v)
-        for v in [CENTER] + [Vertex(i, j) for i in range(1, params.k + 1) for j in range(1, params.m)]
-    }
+    board = _board(params)
     actual = {v: len(ts) for v, ts in occurrences.items()}
-    wanted = {v: c for v, c in expected.items() if c > 0}
+    wanted = {board.vertex[s]: expected_fire_count(params, board.vertex[s]) for s in board.firing}
     if actual != wanted:
         raise LogInconsistencyError(
             f"per-vertex fire counts {actual} disagree with the closed form {wanted}"
@@ -161,23 +153,22 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
                 )
             )
 
-    m = params.m
     for ref in endgame_refs(params):
         v, f = ref
         if v.is_center:
-            if f < m - 1:
-                for i in range(1, params.k + 1):
-                    require_before(FireRef(Vertex(i, 1), f), ref, "branch-precedes-center")
+            if f < params.m - 1:
+                for u in _receivers(params.k, v):
+                    require_before(FireRef(u, f), ref, "branch-precedes-center")
         else:
-            inner = CENTER if v.level == 1 else Vertex(v.branch, v.level - 1)
+            inner, outer = _receivers(params.k, v)
             require_before(FireRef(inner, f + 1), ref, "inner-refire-precedes")
-            outer_ref = FireRef(Vertex(v.branch, v.level + 1), f)
+            outer_ref = FireRef(outer, f)
             if is_endgame(params, outer_ref):
                 require_before(outer_ref, ref, "outer-precedes")
 
     endgame_at = {t: ref for ref, t in positions.items()}
     board = _board(params)
-    state = _pack(initial_labeled(params))
+    state = board.start
     for t, mv in enumerate(log.moves):
         ref = endgame_at.get(t)
         if ref is not None:
@@ -207,11 +198,17 @@ def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
     fires must never increase. With ``strict=True``, repeats are flagged as
     well; repeats do occur in real play (a branch can return the chip it was
     just sent), so the strict mode is diagnostic rather than an invariant.
+    A center fire of other than k chips is reported and left out of the
+    comparison.
     """
     params = log.params
     violations: list[Violation] = []
     center_fires = log.positions_of(CENTER)
-    endgame_fires = center_fires[-params.m:]
+    for t in center_fires:
+        if len(log.moves[t].chips) != params.k:
+            detail = f"center fire at index {t} sent {len(log.moves[t].chips)} chips, not {params.k}"
+            violations.append(Violation("center-fire-size", (t,), detail))
+    endgame_fires = [t for t in center_fires[-params.m:] if len(log.moves[t].chips) == params.k]
     previous: tuple[int, ...] | None = None
     prev_t = None
     for t in endgame_fires:

@@ -231,6 +231,29 @@ class TestArgumentHandling:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["enumerate", "--k", "2", "--m", "2"], ["montecarlo", "--k", "2", "--m", "2", "--trials", "5", "--seed", "1"]],
+        ids=["enumerate", "montecarlo"],
+    )
+    @pytest.mark.parametrize("target", ["missing/x.json", "a-directory"])
+    def test_unwritable_out_exits_2_and_leaves_no_temp_file(self, capsys, tmp_path, command, target):
+        (tmp_path / "a-directory").mkdir()
+        code, out, err = run_cli(capsys, command + ["--out", str(tmp_path / target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert [p.name for p in tmp_path.rglob("*")] == ["a-directory"]
+
+    def test_montecarlo_json_with_enumeration_exits_2(self, capsys):
+        argv = ["montecarlo", "--k", "2", "--m", "2", "--trials", "5", "--seed", "1", "--json", "--with-enumeration"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

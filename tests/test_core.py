@@ -28,6 +28,7 @@ from starchip import (
     parse_vertex,
     totally_sorted_outcome,
 )
+from starchip.core import _board, _outcome
 
 
 def labeled(params: StarParams, placement: dict) -> LabeledConfig:
@@ -227,6 +228,28 @@ class TestCanonicalOutcome:
         assert cfg.is_stable
         with pytest.raises(ShapeError):
             canonical_outcome(cfg)
+
+
+class TestOutcomeReadOff:
+    # core._outcome on (2,2): slot 0 is the center, slots 1-2 branch 1 and
+    # slots 3-4 branch 2, levels 1 and 2.
+    def test_filled_state_reads_its_rows(self):
+        assert _outcome(_board(StarParams(2, 2)), ((), (1,), (3,), (2,), (4,))) == ((1, 3), (2, 4))
+
+    @pytest.mark.parametrize(
+        "state, match",
+        [
+            pytest.param(((), (1,), (), (2,), (3, 4)), "pile up on level 2", id="second chip on level m"),
+            pytest.param(((), (1, 2), (3,), (), (4,)), "not stable", id="fireable below level m"),
+            pytest.param(((5,), (1,), (3,), (2,), (4,)), "does not fill", id="chip left on the center"),
+            pytest.param(((), (1,), (3,), (), (4,)), "does not fill", id="empty branch slot"),
+            pytest.param(((), (1,), (3,), (1,), (4,)), "labels are not 1..4", id="repeated label"),
+            pytest.param(((), (1,), (3,), (2,), (5,)), "labels are not 1..4", id="label out of range"),
+        ],
+    )
+    def test_anything_but_the_stable_shape_raises(self, state, match):
+        with pytest.raises(ShapeError, match=match):
+            _outcome(_board(StarParams(2, 2)), state)
 
 
 class TestTextForms:

@@ -145,8 +145,9 @@ class TestLabeledStabilization:
         assert len(count_maps) == 1
 
     def test_unknown_strategy_name(self):
-        with pytest.raises(ValueError):
-            make_strategy("bogus")
+        for name in ("bogus", "deterministic"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                make_strategy(name)
 
 
 class TestReplay:

@@ -22,7 +22,17 @@ from starchip import (
     verify_branch_sorted,
     verify_rim_sorted,
 )
-from starchip.core import LabeledConfig, _board, _fire, _fire_checked, _fireable, _pack, _unpack, _volmin_fireable
+from starchip.core import (
+    LabeledConfig,
+    _board,
+    _fire,
+    _fire_checked,
+    _fireable,
+    _outcome,
+    _pack,
+    _unpack,
+    _volmin_fireable,
+)
 from starchip.enumeration import _sweep
 from oracles import naive_sequence_counts, naive_total_sequences, naive_volmin_moves
 
@@ -213,13 +223,14 @@ def _naive_vertex(v):
 def test_packed_kernel_matches_object_model(data):
     # Random legal games, played through the packed kernel the searches and
     # drivers use, the checked fire the replays use, apply_move/legal_moves
-    # and the oracle's volmin filter side by side.
+    # and the oracle's volmin filter side by side, from the board's start to
+    # the outcome read off the packed state.
     k = data.draw(st.integers(min_value=1, max_value=9), label="k")
     m = data.draw(st.integers(min_value=1, max_value=9 // k), label="m")
     params = StarParams(k, m)
     board = _board(params)
     config = initial_labeled(params)
-    state = _pack(config)
+    state = board.start
     while True:
         assert _unpack(params, state) == config
         assert _pack(config) == state
@@ -229,6 +240,10 @@ def test_packed_kernel_matches_object_model(data):
         naive_config = {_naive_vertex(v): labels for v, labels in config.chips.items()}
         assert [(_naive_vertex(v), chips) for v, chips in volmin] == naive_volmin_moves(naive_config, k)
         if not moves:
+            rows = tuple(
+                tuple(next(iter(config.chips[Vertex(i, j)])) for j in range(1, m + 1)) for i in range(1, k + 1)
+            )
+            assert _outcome(board, state) == rows
             break
         mv = data.draw(st.sampled_from(moves), label="move")
         config = apply_move(config, mv)

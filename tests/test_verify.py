@@ -21,7 +21,7 @@ from starchip import (
     verify_poset,
     verify_rim_sorted,
 )
-from starchip.verify import FireRef, VerifierReport, Violation
+from starchip.verify import FireRef, VerifierReport, Violation, check_game
 
 
 def det_log(k: int, m: int) -> SequenceLog:
@@ -137,6 +137,13 @@ class TestVerifyMixing:
         forged = SequenceLog(params, (Move(CENTER, (1, 2)), Move(CENTER, (1, 2))))
         assert verify_mixing(forged).passed
         assert not verify_mixing(forged, strict=True).passed
+
+    def test_center_fire_of_the_wrong_size_is_reported(self):
+        # a fire of fewer than k chips used to be indexed past its end
+        log = SequenceLog(StarParams(2, 2), (Move(CENTER, (1,)), Move(CENTER, (2, 3))))
+        report = verify_mixing(log)
+        assert [(v.rule, v.subject) for v in report.violations] == [("center-fire-size", (0,))]
+        assert not check_game(((1, 3), (2, 4)), log)["mixing"]
 
 
 class TestOutcomePredicates:
