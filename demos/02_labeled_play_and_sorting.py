@@ -7,11 +7,14 @@ the i-th smallest to branch i; a branch fire chooses 2 chips and sends the
 smaller inward, the larger outward. However the game is played, each branch
 ends up sorted from the center outward, and the innermost and outermost
 rings are sorted across branches too.
+
+Every game starts with all km chips on the center, so `stabilize_labeled`
+takes only the shape and a strategy, and every game from that start makes
+the same number of fires.
 """
 from starchip import (
     StarParams,
     expected_total_fires,
-    initial_labeled,
     make_strategy,
     outcome_to_text,
     stabilize_labeled,
@@ -24,12 +27,12 @@ from starchip import (
 params = StarParams(k=3, m=3)
 
 for name in ("det", "random", "volmin"):
-    outcome, log = stabilize_labeled(initial_labeled(params), make_strategy(name, seed=2024))
+    outcome, log = stabilize_labeled(params, make_strategy(name, seed=2024))
     print(f"{name:>6}: {outcome_to_text(outcome)} in {len(log)} fires "
           f"(always {expected_total_fires(params)})")
 
 # Play one noisy game and inspect its log.
-outcome, log = stabilize_labeled(initial_labeled(params), make_strategy("random", seed=5))
+outcome, log = stabilize_labeled(params, make_strategy("random", seed=5))
 print("\na random game, move by move:")
 print(log.to_text())
 

@@ -30,7 +30,6 @@ from starchip import (
     enumerate_volmin,
     from_outcome,
     generate_syts,
-    initial_labeled,
     reachable_set,
     replay,
     stabilize_labeled,
@@ -62,6 +61,6 @@ print(f"standard 3x3 fillings:              {count_rect_syt(3, 3)}")
 print(f"the two sets are equal:             {outcomes == image}")
 
 # At 3x4 it does not: this game ends on a filling that is not standard.
-outcome, _ = stabilize_labeled(initial_labeled(StarParams(3, 4)), VolatilityMinimizing(413))
+outcome, _ = stabilize_labeled(StarParams(3, 4), VolatilityMinimizing(413))
 odd = from_outcome(outcome)
 print(f"\nvolmin 3x4, seed 413: {odd} standard? {odd.is_standard} (second column: {odd.column(1)})")

@@ -18,18 +18,12 @@ import json
 import sys
 from collections import Counter
 
-from .core import (
-    ChipGameError,
-    StarParams,
-    initial_labeled,
-    outcome_to_text,
-)
-from .engine import _STRATEGY_NAMES, make_strategy, random_games, stabilize_labeled
+from .core import ChipGameError, StarParams, outcome_to_text
+from .engine import _STRATEGY_NAMES, make_strategy, random_games, replay, stabilize_labeled
 from .enumeration import DEFAULT_CELL_BUDGET, enumerate_all, enumerate_volmin, reachable_set
 from .reports import emit_table, run_montecarlo, write_atomic
 from .tableaux import count_rect_syt, generate_syts, to_outcome, witness_sequence
 from .verify import check_game
-from . import engine
 
 
 def _add_km(parser: argparse.ArgumentParser) -> None:
@@ -47,7 +41,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_stabilize(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
     strategy = make_strategy(args.strategy, args.seed)
-    outcome, log = stabilize_labeled(initial_labeled(params), strategy)
+    outcome, log = stabilize_labeled(params, strategy)
     checks = check_game(outcome, log) if args.verify else {}
     if args.json:
         doc = {
@@ -116,7 +110,7 @@ def cmd_syt(args: argparse.Namespace) -> int:
         good = 0
         for t in tableaux:
             moves = witness_sequence(t)
-            final, _ = engine.replay(params, moves)
+            final, _ = replay(params, moves)
             if final == to_outcome(t):
                 good += 1
             else:

@@ -2,11 +2,10 @@
 
 Every configuration with finitely many chips on the star stabilizes, and all
 stabilization sequences from a fixed start agree in length and in how often
-each vertex fires (confluence). Starting from k*m chips on the center those
-counts have a closed form, exposed here as :func:`expected_fire_count` and
-:func:`expected_total_fires`; the drivers cross-check against it.
-
-The labeled game is played and replayed on the packed state of
+each vertex fires (confluence). Starting from k*m chips on the center, the
+one start of the labeled game (``_Board.start``), those counts have a closed
+form: :func:`expected_fire_count`, and :func:`expected_total_fires`, the
+length of every labeled game. Games and replays run on the packed state of
 :mod:`starchip.core`: a strategy names each fire as a slot and its chips,
 and the final state is checked once, as ``core._outcome`` reads it off.
 """
@@ -16,10 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol
 
 from .core import (
-    ChipGameError,
     IllegalMoveError,
     LabeledConfig,
     Move,
@@ -36,11 +34,9 @@ from .core import (
     _fire_checked,
     _fireable,
     _outcome,
-    _pack,
     _receivers,
     _unpack,
     degree,
-    initial_labeled,
     initial_unlabeled,
     parse_move,
 )
@@ -216,30 +212,23 @@ def make_strategy(name: str, seed: int = 0) -> Strategy:
     raise ValueError(f"unknown strategy {name!r}; expected one of {_STRATEGY_NAMES}")
 
 
-def stabilize_labeled(config: LabeledConfig, strategy: Strategy) -> tuple[Outcome, SequenceLog]:
-    """Play moves chosen by ``strategy`` until stable.
+def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, SequenceLog]:
+    """Play one game from all chips on the center with moves chosen by
+    ``strategy``; return the canonical outcome matrix and the move log.
 
-    Returns the canonical outcome matrix and the full move log. The game runs
-    on the packed state of :mod:`starchip.core`, so a fire copies one tuple
-    of per-vertex label tuples and validates nothing; the final state is
-    checked once, as it is read off. A ceiling of 10x the closed-form
-    sequence length guards against a selection bug turning into a hang.
-
-    Raises ShapeError for a start with chips past level m, or when a chip
-    would have to pass it later: a branch's outermost occupied level never
-    falls, so neither game can end in the stable shape.
+    Every legal game from that start makes exactly expected_total_fires
+    fires, so the game stops after that many, or earlier if nothing can
+    fire. Fires run unchecked on the packed state of :mod:`starchip.core`;
+    ``core._outcome`` checks the final state once and raises ShapeError on
+    whatever a strategy that breaks the rules leaves behind.
     """
-    params = config.params
     board = _board(params)
-    state = _pack(config)
-    ceiling = 10 * max(1, expected_total_fires(params))
+    state = board.start
     moves: list[Move] = []
-    while fireable := _fireable(board, state):
-        if len(moves) >= ceiling:
-            raise ChipGameError(
-                f"stabilization exceeded {ceiling} moves on k={params.k}, m={params.m}; "
-                "strategy or rules are broken"
-            )
+    for _ in range(expected_total_fires(params)):
+        fireable = _fireable(board, state)
+        if not fireable:
+            break
         s, chips = strategy.pick(board, state, fireable)
         state = _fire(board, state, s, chips)
         moves.append(Move(board.vertex[s], chips))
@@ -254,13 +243,12 @@ def random_games(params: StarParams, trials: int, seed: int) -> Iterator[tuple[i
     depends only on (params, seed, i), and ``stabilize --strategy random
     --seed <trial seed>`` plays it again.
     """
-    start = initial_labeled(params)
     for i in range(trials):
         trial_seed = derive_seed(seed, i)
-        yield (trial_seed, *stabilize_labeled(start, RandomUniform(trial_seed)))
+        yield (trial_seed, *stabilize_labeled(params, RandomUniform(trial_seed)))
 
 
-def replay(params: StarParams, moves: Iterable[Move] | Sequence[Move]) -> tuple[Outcome | LabeledConfig, SequenceLog]:
+def replay(params: StarParams, moves: Iterable[Move]) -> tuple[Outcome | LabeledConfig, SequenceLog]:
     """Apply a scripted move list starting from all chips on the center.
 
     Returns (outcome, log) when the script ends stable, else (config, log).

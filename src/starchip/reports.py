@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -147,14 +148,25 @@ def emit_table(result: EnumerationResult | FrequencyReport, format: str = "text"
 
 def write_atomic(path: str, text: str) -> None:
     """Write UTF-8 text via a temp file and rename, so readers never see a
-    partially written file."""
+    partially written file. The file gets the mode ``open(path, "w")`` would
+    give it, and an OSError names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:
+        mode = 0o666 & ~umask
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, path) from None
         raise

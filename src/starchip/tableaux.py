@@ -21,7 +21,7 @@ from .core import (
     WitnessConstructionError,
     _Board,
     _State,
-    initial_labeled,
+    outcome_to_text,
 )
 from .engine import stabilize_labeled
 from .verify import verify_branch_sorted, verify_rim_sorted
@@ -65,7 +65,7 @@ class Tableau:
         return tuple(row[j] for row in self.rows)
 
     def __str__(self) -> str:
-        return ",".join("[" + ",".join(map(str, row)) + "]" for row in self.rows)
+        return outcome_to_text(self.rows)
 
 
 def from_outcome(outcome: Outcome) -> Tableau:
@@ -178,7 +178,7 @@ def witness_sequence(t: Tableau) -> list[Move]:
     WitnessConstructionError, which indicates a bug, not bad input.
     """
     outcome = to_outcome(t)
-    final, log = stabilize_labeled(initial_labeled(StarParams(*t.shape)), _WitnessScript(t))
+    final, log = stabilize_labeled(StarParams(*t.shape), _WitnessScript(t))
     if final != outcome:
         raise WitnessConstructionError(f"script for {t} stabilized elsewhere")
     return list(log.moves)

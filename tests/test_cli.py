@@ -243,6 +243,8 @@ class TestArgumentHandling:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        assert str(tmp_path / target) in err
+        assert ".tmp-" not in err
         assert [p.name for p in tmp_path.rglob("*")] == ["a-directory"]
 
     def test_montecarlo_json_with_enumeration_exits_2(self, capsys):

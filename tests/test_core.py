@@ -226,7 +226,7 @@ class TestCanonicalOutcome:
         p = StarParams(2, 2)
         cfg = labeled(p, {Vertex(1, 1): {1}, Vertex(1, 2): {2}, Vertex(1, 3): {3}, Vertex(2, 1): {4}})
         assert cfg.is_stable
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="past level 2"):
             canonical_outcome(cfg)
 
 

@@ -7,7 +7,6 @@ from starchip import (
     CENTER,
     Deterministic,
     IllegalMoveError,
-    LabeledConfig,
     Move,
     RandomUniform,
     SequenceLog,
@@ -101,20 +100,20 @@ class TestClosedForms:
 
 class TestLabeledStabilization:
     def test_single_branch_deterministic(self):
-        outcome, log = stabilize_labeled(initial_labeled(StarParams(1, 2)), Deterministic())
+        outcome, log = stabilize_labeled(StarParams(1, 2), Deterministic())
         assert outcome == ((1, 2),)
         assert len(log) == expected_total_fires(StarParams(1, 2))
 
     @pytest.mark.parametrize("strategy", [Deterministic(), RandomUniform(5), VolatilityMinimizing(5)])
     def test_two_branches_one_level_is_forced(self, strategy):
-        outcome, _ = stabilize_labeled(initial_labeled(StarParams(2, 1)), strategy)
+        outcome, _ = stabilize_labeled(StarParams(2, 1), strategy)
         assert outcome == ((1,), (2,))
 
     @pytest.mark.parametrize("name", ["det", "random", "volmin"])
     @pytest.mark.parametrize("k,m", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_log_length_matches_closed_form(self, name, k, m):
         params = StarParams(k, m)
-        outcome, log = stabilize_labeled(initial_labeled(params), make_strategy(name, seed=3))
+        outcome, log = stabilize_labeled(params, make_strategy(name, seed=3))
         assert len(log) == expected_total_fires(params)
         assert log.per_vertex_fire_count[CENTER] == expected_fire_count(params, CENTER)
         assert sorted(x for row in outcome for x in row) == list(range(1, k * m + 1))
@@ -122,21 +121,21 @@ class TestLabeledStabilization:
     @pytest.mark.parametrize("name", ["random", "volmin"])
     def test_same_seed_same_log(self, name):
         params = StarParams(3, 3)
-        _, log1 = stabilize_labeled(initial_labeled(params), make_strategy(name, seed=99))
-        _, log2 = stabilize_labeled(initial_labeled(params), make_strategy(name, seed=99))
+        _, log1 = stabilize_labeled(params, make_strategy(name, seed=99))
+        _, log2 = stabilize_labeled(params, make_strategy(name, seed=99))
         assert log1 == log2
 
     def test_engine_logs_replay_to_their_outcome(self):
         for name in ("det", "random", "volmin"):
             params = StarParams(3, 2)
-            outcome, log = stabilize_labeled(initial_labeled(params), make_strategy(name, seed=6))
+            outcome, log = stabilize_labeled(params, make_strategy(name, seed=6))
             final, _ = replay(params, log.moves)
             assert final == outcome
 
     def test_confluence_of_lengths_and_fire_counts(self):
         params = StarParams(2, 3)
         logs = [
-            stabilize_labeled(initial_labeled(params), RandomUniform(seed))[1]
+            stabilize_labeled(params, RandomUniform(seed))[1]
             for seed in range(50)
         ]
         lengths = {len(log) for log in logs}
@@ -176,7 +175,7 @@ class TestReplay:
 class TestSequenceLog:
     def test_text_roundtrip(self):
         params = StarParams(2, 2)
-        _, log = stabilize_labeled(initial_labeled(params), RandomUniform(17))
+        _, log = stabilize_labeled(params, RandomUniform(17))
         assert SequenceLog.from_text(params, log.to_text()) == log
 
     def test_text_skips_blank_and_comment_lines(self):
@@ -186,7 +185,7 @@ class TestSequenceLog:
 
     def test_fire_count_and_positions(self):
         params = StarParams(2, 2)
-        _, log = stabilize_labeled(initial_labeled(params), Deterministic())
+        _, log = stabilize_labeled(params, Deterministic())
         counts = log.per_vertex_fire_count
         assert counts[CENTER] == 3
         assert log.positions_of(CENTER) == [t for t, mv in enumerate(log.moves) if mv.vertex == CENTER]
@@ -206,7 +205,7 @@ def test_games_match_the_naive_driver(k, m, name):
     # moves agree move for move, draw for draw.
     params = StarParams(k, m)
     for seed in (0, 1, 7, 2024):
-        _, log = stabilize_labeled(initial_labeled(params), make_strategy(name, seed))
+        _, log = stabilize_labeled(params, make_strategy(name, seed))
         moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
         assert moves == naive_play(k, m, name, seed)
 
@@ -215,7 +214,7 @@ def test_volmin_play_reaches_a_filling_that_is_not_standard():
     # At (3,4) volmin play ends outside the standard-tableau image: 639
     # outcomes against 462 SYT in the exhaustive search. Seed 413 is one
     # such game, and the naive driver plays it fire for fire.
-    outcome, log = stabilize_labeled(initial_labeled(StarParams(3, 4)), VolatilityMinimizing(413))
+    outcome, log = stabilize_labeled(StarParams(3, 4), VolatilityMinimizing(413))
     assert outcome_to_text(outcome) == "[1,4,5,9],[2,3,7,11],[6,8,10,12]"
     assert [row[1] for row in outcome] == [4, 3, 8]
     assert not from_outcome(outcome).is_standard
@@ -233,19 +232,34 @@ def test_unrank_lists_every_combination_in_order():
             assert [_unrank(pool, d, r) for r in range(len(listed))] == listed
 
 
-class TestStartsPastTheBoard:
-    def test_chip_past_level_m_is_refused_before_any_fire(self):
-        params = StarParams(1, 2)
-        start = LabeledConfig(params, {CENTER: {1}, Vertex(1, 3): {2}})
-        with pytest.raises(ShapeError, match="past level 2"):
-            stabilize_labeled(start, RandomUniform(0))
+class _BrokenStrategy:
+    """Fires the first fireable slot against the rules, counting its picks:
+    with one chip too few, or with labels no vertex holds."""
 
-    def test_pile_on_level_m_is_refused(self):
-        # the game would fire it outward, past level m
-        params = StarParams(1, 2)
-        start = LabeledConfig(params, {Vertex(1, 2): {1, 2}})
-        with pytest.raises(ShapeError, match="pile up on level 2"):
-            stabilize_labeled(start, Deterministic())
+    def __init__(self, fault):
+        self.fault = fault
+        self.picks = 0
+
+    def pick(self, board, state, fireable):
+        self.picks += 1
+        s = fireable[0]
+        deg = board.deg[s]
+        if self.fault == "one chip too few":
+            return s, state[s][: deg - 1]
+        n = board.params.n_chips
+        return s, tuple(range(n + 1, n + 1 + deg))
+
+
+@pytest.mark.parametrize("fault", ["one chip too few", "labels it does not hold"])
+def test_a_broken_strategy_is_refused_within_the_game_length(fault):
+    # Every legal game from the start makes expected_total_fires fires, so
+    # the driver picks no more than that, and the read-off refuses the state
+    # a broken strategy leaves behind.
+    params = StarParams(10, 10)
+    strategy = _BrokenStrategy(fault)
+    with pytest.raises(ShapeError):
+        stabilize_labeled(params, strategy)
+    assert 0 < strategy.picks <= expected_total_fires(params)
 
 
 def _object_replay(params, moves):
@@ -262,7 +276,7 @@ def _object_replay(params, moves):
 
 def _bad_logs():
     params = StarParams(3, 3)
-    _, log = stabilize_labeled(initial_labeled(params), RandomUniform(11))
+    _, log = stabilize_labeled(params, RandomUniform(11))
     moves = list(log.moves)
     t = next(t for t, mv in enumerate(moves) if mv.vertex == CENTER and t > 3)
     b = next(t for t, mv in enumerate(moves) if mv.vertex == Vertex(2, 1))

@@ -110,3 +110,19 @@ class TestAtomicWrite:
         assert target.read_text() == "second\n"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
+
+    def test_new_file_gets_the_mode_open_would_give(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            write_atomic(str(tmp_path / "out.json"), "x\n")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.json").stat().st_mode & 0o777 == 0o644
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("first\n")
+        target.chmod(0o600)
+        write_atomic(str(target), "second\n")
+        assert target.stat().st_mode & 0o777 == 0o600
+        assert target.read_text() == "second\n"

@@ -13,7 +13,6 @@ from starchip import (
     RandomUniform,
     endgame_positions,
     endgame_refs,
-    initial_labeled,
     make_strategy,
     stabilize_labeled,
     verify_branch_sorted,
@@ -25,7 +24,7 @@ from starchip.verify import FireRef, VerifierReport, Violation, check_game
 
 
 def det_log(k: int, m: int) -> SequenceLog:
-    _, log = stabilize_labeled(initial_labeled(StarParams(k, m)), Deterministic())
+    _, log = stabilize_labeled(StarParams(k, m), Deterministic())
     return log
 
 
@@ -82,13 +81,13 @@ class TestVerifyPoset:
     @pytest.mark.parametrize("name", ["det", "random", "volmin"])
     @pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 4)])
     def test_engine_logs_pass(self, name, k, m):
-        _, log = stabilize_labeled(initial_labeled(StarParams(k, m)), make_strategy(name, seed=21))
+        _, log = stabilize_labeled(StarParams(k, m), make_strategy(name, seed=21))
         assert verify_poset(log).passed
 
     def test_random_sample_passes(self):
         params = StarParams(2, 3)
         for seed in range(100):
-            _, log = stabilize_labeled(initial_labeled(params), RandomUniform(seed))
+            _, log = stabilize_labeled(params, RandomUniform(seed))
             assert verify_poset(log).passed
 
     def test_forged_order_swap_is_caught(self):
@@ -160,7 +159,7 @@ class TestOutcomePredicates:
     @pytest.mark.parametrize("name", ["det", "random", "volmin"])
     @pytest.mark.parametrize("k,m", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_engine_outcomes_sorted(self, name, k, m):
-        outcome, _ = stabilize_labeled(initial_labeled(StarParams(k, m)), make_strategy(name, 4))
+        outcome, _ = stabilize_labeled(StarParams(k, m), make_strategy(name, 4))
         assert verify_branch_sorted(outcome)
         assert verify_rim_sorted(outcome)
 
