@@ -156,7 +156,29 @@ def parse_move(text: str) -> Move:
     return Move(vertex, chips)
 
 
-class UnlabeledConfig:
+class _Config:
+    """What both configuration classes derive from ``count_at`` and their sorted
+    ``_key`` of (vertex, contents) pairs; configurations of two classes never match."""
+
+    __slots__ = ()
+
+    @property
+    def is_stable(self) -> bool:
+        return not any(True for _ in self.fireable_vertices())
+
+    def fireable_vertices(self) -> Iterator[Vertex]:
+        for v, _ in self._key:
+            if self.count_at(v) >= degree(self.params, v):
+                yield v
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.params == other.params and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash((self.params, self._key))
+
+
+class UnlabeledConfig(_Config):
     """Sparse chip-count configuration: vertices absent from ``counts`` hold zero."""
 
     __slots__ = ("params", "counts", "_key")
@@ -180,27 +202,12 @@ class UnlabeledConfig:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    @property
-    def is_stable(self) -> bool:
-        return not any(True for _ in self.fireable_vertices())
-
-    def fireable_vertices(self) -> Iterator[Vertex]:
-        for v in sorted(self.counts):
-            if self.counts[v] >= degree(self.params, v):
-                yield v
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UnlabeledConfig) and self.params == other.params and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash((self.params, self._key))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{c}" for v, c in self._key)
         return f"UnlabeledConfig({inner})"
 
 
-class LabeledConfig:
+class LabeledConfig(_Config):
     """Assignment of the labels 1..N to star vertices (sparse; N = k*m).
 
     The label sets over all vertices always partition {1, .., N}: no label is
@@ -234,15 +241,6 @@ class LabeledConfig:
     def count_at(self, v: Vertex) -> int:
         return len(self.chips.get(v, ()))
 
-    @property
-    def is_stable(self) -> bool:
-        return not any(True for _ in self.fireable_vertices())
-
-    def fireable_vertices(self) -> Iterator[Vertex]:
-        for v in sorted(self.chips):
-            if len(self.chips[v]) >= degree(self.params, v):
-                yield v
-
     def to_unlabeled(self) -> UnlabeledConfig:
         """Forget the labels, keeping chip counts."""
         return UnlabeledConfig(self.params, {v: len(s) for v, s in self.chips.items()})
@@ -250,12 +248,6 @@ class LabeledConfig:
     def key(self) -> tuple:
         """Canonical hashable form: sorted (vertex, sorted labels) pairs."""
         return self._key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LabeledConfig) and self.params == other.params and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash((self.params, self._key))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{{{','.join(map(str, s))}}}" for v, s in self._key)

@@ -91,14 +91,24 @@ def stabilize_unlabeled(params: StarParams, n: int) -> tuple[UnlabeledConfig, di
 
 @dataclass(frozen=True, eq=True)
 class SequenceLog:
-    """An ordered record of fires, normally a complete stabilization sequence."""
+    """An ordered record of fires, normally a complete stabilization sequence.
+    Its fires are grouped by vertex once, on first use, into one index from
+    each fired vertex, in order of first fire, to the 0-based positions of
+    its fires; the two accessors read it and return fresh containers."""
 
     params: StarParams
     moves: tuple[Move, ...]
 
     @cached_property
+    def _fires(self) -> dict[Vertex, list[int]]:
+        fires: dict[Vertex, list[int]] = {}
+        for t, mv in enumerate(self.moves):
+            fires.setdefault(mv.vertex, []).append(t)
+        return fires
+
+    @property
     def per_vertex_fire_count(self) -> dict[Vertex, int]:
-        return dict(Counter(mv.vertex for mv in self.moves))
+        return {v: len(ts) for v, ts in self._fires.items()}
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -108,7 +118,7 @@ class SequenceLog:
 
     def positions_of(self, v: Vertex) -> list[int]:
         """0-based indices of all fires of v, in time order."""
-        return [t for t, mv in enumerate(self.moves) if mv.vertex == v]
+        return list(self._fires.get(v, ()))
 
     def to_text(self) -> str:
         """One move per line: ``C:{1,2,3}`` or ``B(i,j):{a,b}``."""
@@ -199,17 +209,14 @@ class VolatilityMinimizing:
         return s, _unrank(state[s], board.deg[s], r)
 
 
-_STRATEGY_NAMES = ("det", "random", "volmin")
+_STRATEGIES = {"det": lambda seed: Deterministic(), "random": RandomUniform, "volmin": VolatilityMinimizing}
+_STRATEGY_NAMES = tuple(_STRATEGIES)
 
 
 def make_strategy(name: str, seed: int = 0) -> Strategy:
-    if name == "det":
-        return Deterministic()
-    if name == "random":
-        return RandomUniform(seed)
-    if name == "volmin":
-        return VolatilityMinimizing(seed)
-    raise ValueError(f"unknown strategy {name!r}; expected one of {_STRATEGY_NAMES}")
+    if name not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}; expected one of {_STRATEGY_NAMES}")
+    return _STRATEGIES[name](seed)
 
 
 def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, SequenceLog]:
@@ -220,7 +227,8 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
     fires, so the game stops after that many, or earlier if nothing can
     fire. Fires run unchecked on the packed state of :mod:`starchip.core`;
     ``core._outcome`` checks the final state once and raises ShapeError on
-    whatever a strategy that breaks the rules leaves behind.
+    whatever a strategy that breaks the rules leaves behind, replaying the
+    moves with every check to name the strategy's first illegal fire.
     """
     board = _board(params)
     state = board.start
@@ -232,7 +240,14 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
         s, chips = strategy.pick(board, state, fireable)
         state = _fire(board, state, s, chips)
         moves.append(Move(board.vertex[s], chips))
-    return _outcome(board, state), SequenceLog(params, tuple(moves))
+    try:
+        return _outcome(board, state), SequenceLog(params, tuple(moves))
+    except ShapeError as e:
+        try:
+            replay(params, moves)
+        except IllegalMoveError as illegal:
+            raise ShapeError(f"{e}; the strategy's first illegal fire was {illegal}") from illegal
+        raise
 
 
 def random_games(params: StarParams, trials: int, seed: int) -> Iterator[tuple[int, Outcome, SequenceLog]]:

@@ -81,7 +81,7 @@ def _check_budget(params: StarParams, max_states: int | None, default_cells: int
     if max_states is None and params.n_chips > default_cells:
         raise BudgetExceededError(
             f"k*m = {params.n_chips} exceeds the default cell budget of {default_cells}; "
-            "pass max_states to override"
+            "no state budget (max_states) was given"
         )
     if max_states is not None and max_states < 1:
         raise ValueError("max_states must be >= 1")

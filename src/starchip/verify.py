@@ -95,38 +95,21 @@ def endgame_refs(params: StarParams) -> list[FireRef]:
     return [FireRef(board.vertex[s], f) for s in board.firing for f in range(params.m - board.level[s])]
 
 
-def is_endgame(params: StarParams, ref: FireRef) -> bool:
-    return ref.from_end <= params.m - ref.vertex.level - 1
+def endgame_positions(log: SequenceLog) -> dict[FireRef, int]:
+    """Map each endgame fire, in :func:`endgame_refs` order, to its 0-based index in the log.
 
-
-def _check_counts(log: SequenceLog) -> dict[Vertex, list[int]]:
-    """Positions of each vertex's fires, after checking the closed-form counts."""
+    Raises LogInconsistencyError if the log's per-vertex fire counts do not
+    match the closed-form counts of a complete stabilization.
+    """
     params = log.params
-    occurrences: dict[Vertex, list[int]] = {}
-    for t, mv in enumerate(log.moves):
-        occurrences.setdefault(mv.vertex, []).append(t)
     board = _board(params)
-    actual = {v: len(ts) for v, ts in occurrences.items()}
+    actual = log.per_vertex_fire_count
     wanted = {board.vertex[s]: expected_fire_count(params, board.vertex[s]) for s in board.firing}
     if actual != wanted:
         raise LogInconsistencyError(
             f"per-vertex fire counts {actual} disagree with the closed form {wanted}"
         )
-    return occurrences
-
-
-def endgame_positions(log: SequenceLog) -> dict[FireRef, int]:
-    """Map each endgame fire to its 0-based index in the move list.
-
-    Raises LogInconsistencyError if the log's per-vertex fire counts do not
-    match the closed-form counts of a complete stabilization.
-    """
-    occurrences = _check_counts(log)
-    positions: dict[FireRef, int] = {}
-    for ref in endgame_refs(log.params):
-        ts = occurrences[ref.vertex]
-        positions[ref] = ts[len(ts) - 1 - ref.from_end]
-    return positions
+    return {ref: log.positions_of(ref.vertex)[-1 - ref.from_end] for ref in endgame_refs(params)}
 
 
 def verify_poset(log: SequenceLog) -> VerifierReport:
@@ -153,7 +136,7 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
                 )
             )
 
-    for ref in endgame_refs(params):
+    for ref in positions:
         v, f = ref
         if v.is_center:
             if f < params.m - 1:
@@ -163,7 +146,7 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
             inner, outer = _receivers(params.k, v)
             require_before(FireRef(inner, f + 1), ref, "inner-refire-precedes")
             outer_ref = FireRef(outer, f)
-            if is_endgame(params, outer_ref):
+            if outer_ref in positions:
                 require_before(outer_ref, ref, "outer-precedes")
 
     endgame_at = {t: ref for ref, t in positions.items()}

@@ -108,6 +108,9 @@ class TestConfigs:
         assert a == b
         assert hash(a) == hash(b)
         assert a.key() == b.key()
+        u = UnlabeledConfig(p, {Vertex(1, 1): 1, CENTER: 1})
+        assert u == a.to_unlabeled() and hash(u) == hash(a.to_unlabeled())
+        assert u != a and a != u
 
     def test_is_stable(self):
         p = StarParams(2, 2)

@@ -190,6 +190,13 @@ class TestSequenceLog:
         assert counts[CENTER] == 3
         assert log.positions_of(CENTER) == [t for t, mv in enumerate(log.moves) if mv.vertex == CENTER]
 
+    def test_fire_count_and_positions_are_fresh_copies(self):
+        _, log = stabilize_labeled(StarParams(2, 2), Deterministic())
+        log.per_vertex_fire_count[CENTER] = 99
+        log.positions_of(CENTER).append(99)
+        assert log.per_vertex_fire_count[CENTER] == 3
+        assert log.positions_of(CENTER) == [t for t, mv in enumerate(log.moves) if mv.vertex == CENTER]
+
     def test_move_parse_matches_str(self):
         mv = Move(Vertex(2, 1), (3, 9))
         assert parse_move(str(mv)) == mv
@@ -254,10 +261,10 @@ class _BrokenStrategy:
 def test_a_broken_strategy_is_refused_within_the_game_length(fault):
     # Every legal game from the start makes expected_total_fires fires, so
     # the driver picks no more than that, and the read-off refuses the state
-    # a broken strategy leaves behind.
+    # a broken strategy leaves behind, naming its first illegal fire.
     params = StarParams(10, 10)
     strategy = _BrokenStrategy(fault)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"first illegal fire was illegal move C:\{[\d,]+\} at step 1"):
         stabilize_labeled(params, strategy)
     assert 0 < strategy.picks <= expected_total_fires(params)
 

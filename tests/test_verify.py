@@ -103,6 +103,16 @@ class TestVerifyPoset:
         assert not report.passed
         assert report.violations[0].rule == "fire-count-mismatch"
 
+    def test_count_mismatch_lists_the_counts_in_first_fire_order(self):
+        log = det_log(2, 2)
+        report = verify_poset(SequenceLog(log.params, log.moves[:-1]))
+        assert [(v.rule, v.subject) for v in report.violations] == [("fire-count-mismatch", ())]
+        assert report.violations[0].detail == (
+            "per-vertex fire counts {Vertex(branch=0, level=0): 2, Vertex(branch=1, level=1): 1, "
+            "Vertex(branch=2, level=1): 1} disagree with the closed form {Vertex(branch=0, level=0): 3, "
+            "Vertex(branch=1, level=1): 1, Vertex(branch=2, level=1): 1}"
+        )
+
 
 class TestVerifyMixing:
     def test_engine_log_passes(self):
