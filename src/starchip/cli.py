@@ -74,7 +74,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_volmin(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
-    outcomes = enumerate_volmin(params)
+    outcomes = enumerate_volmin(params, max_states=args.max_states)
     image = {to_outcome(t) for t in generate_syts(params.k, params.m)}
     matches = outcomes == image
     if args.json:
@@ -197,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volmin", help="outcomes under volatility-minimizing play")
     _add_km(p)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--max-states", type=int, default=None, help="state budget; overrides the k*m cap")
     p.set_defaults(func=cmd_volmin)
 
     p = sub.add_parser("syt", help="count or list standard tableaux")

@@ -7,9 +7,9 @@ has fired, so every path from the start to a given state has the same length
 adds its path count to every child in the next layer, one child per legal
 move, and only two layers are ever held. After ``expected_total_fires``
 layers the counts are the stabilization-sequence counts of the stable
-outcomes, in Python's native big integers. The sweep runs on the packed state
-of :mod:`starchip.core`; only the final stable states are checked, as they
-are read off.
+outcomes, in Python's native big integers. A state is one int holding chip
+c's slot in bits ``width*c`` upward, and a fire adds a cached step to it. Only
+the final states are unpacked, for :func:`core._outcome` to check.
 """
 from __future__ import annotations
 
@@ -24,9 +24,7 @@ from .core import (
     Outcome,
     StarParams,
     _Board,
-    _State,
     _board,
-    _fire,
     _fireable,
     _outcome,
     _volmin_fireable,
@@ -88,38 +86,56 @@ def _check_budget(params: StarParams, max_states: int | None, default_cells: int
 
 
 def _sweep(
-    params: StarParams, max_states: int | None, fire_slots: Callable[[_Board, _State], list[int]]
+    params: StarParams, max_states: int | None, fire_slots: Callable[[_Board, list[list[int]]], list[int]]
 ) -> dict[Outcome, int]:
     """Move sequences reaching each stable outcome when a state may fire the
     slots ``fire_slots`` gives; ``max_states`` bounds the distinct states
-    discovered over all layers, the start included."""
+    discovered over all layers, the start included. ``fire_slots`` gets per-slot
+    label lists but must read chip counts alone, as ``_fireable`` and
+    ``_volmin_fireable`` do: it runs once per chip-count vector."""
     board = _board(params)
-    deg = board.deg
-    total = expected_total_fires(params)
-    layer = {board.start: 1}
-    states = 1
+    deg, routes, n_slots = board.deg, board.routes, len(board.vertex)
+    width = (n_slots - 1).bit_length()
+    mask, labels = (1 << width) - 1, range(1, params.n_chips + 1)
+
+    def held(key: int) -> list[list[int]]:
+        by_slot: list[list[int]] = [[] for _ in range(n_slots)]
+        for c in labels:
+            by_slot[key >> (width * c) & mask].append(c)
+        return by_slot
+
+    slots_of: dict[tuple[int, ...], list[int]] = {}
+    steps_of: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    total, layer, states = expected_total_fires(params), {0: 1}, 1
     for depth in range(1, total + 1):
-        nxt: dict[_State, int] = {}
-        for state, paths in layer.items():
-            slots = fire_slots(board, state)
+        nxt: dict[int, int] = {}
+        for key, paths in layer.items():
+            state = held(key)
+            slots = slots_of.get(counts := tuple(map(len, state)))
+            if slots is None:
+                slots = slots_of[counts] = fire_slots(board, state)
             if not slots:
                 raise ChipGameError(f"internal error: no legal move at depth {depth - 1} of {total}")
             for s in slots:
-                for chips in combinations(state[s], deg[s]):
-                    child = _fire(board, state, s, chips)
-                    known = nxt.get(child)
+                here = (s, tuple(state[s]))
+                if here not in steps_of:
+                    steps_of[here] = [
+                        sum((u - s) << (width * c) for u, c in zip(routes[s], chips))
+                        for chips in combinations(here[1], deg[s])
+                    ]
+                for step in steps_of[here]:
+                    known = nxt.get(child := key + step)
                     if known is None:
                         if max_states is not None and states >= max_states:
                             raise BudgetExceededError(
-                                f"state count exceeded max_states = {max_states} "
-                                f"at depth {depth} of {total}"
+                                f"state count exceeded max_states = {max_states} at depth {depth} of {total}"
                             )
                         states += 1
                         nxt[child] = paths
                     else:
                         nxt[child] = known + paths
         layer = nxt
-    return {_outcome(board, state): paths for state, paths in layer.items()}
+    return {_outcome(board, tuple(map(tuple, held(key)))): paths for key, paths in layer.items()}
 
 
 def enumerate_all(params: StarParams, max_states: int | None = None) -> EnumerationResult:

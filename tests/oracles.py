@@ -123,6 +123,27 @@ def naive_volmin_moves(cfg, k: int) -> list:
     return [mv for mv in moves if mv[0] in keep]
 
 
+def naive_volmin_outcomes(k: int, m: int) -> set:
+    """Outcomes of every game in which each fire is one ``naive_volmin_moves``
+    allows, from a layered search over sets of configurations."""
+    layer = {frozenset({CENTER: frozenset(range(1, k * m + 1))}.items())}
+    outcomes = set()
+    while layer:
+        nxt = set()
+        for frozen in layer:
+            cfg = dict(frozen)
+            moves = naive_volmin_moves(cfg, k)
+            if not moves:
+                rows = [[None] * m for _ in range(k)]
+                for (i, j), s in cfg.items():
+                    rows[i - 1][j - 1] = next(iter(s))
+                outcomes.add(tuple(tuple(r) for r in rows))
+            for mv in moves:
+                nxt.add(frozenset(_naive_apply(cfg, mv, k).items()))
+        layer = nxt
+    return outcomes
+
+
 def naive_play(k: int, m: int, strategy: str, seed: int) -> list:
     """One labeled game from the all-on-center start, as a list of
     ``(vertex, chips)`` moves with vertex ``"C"`` or ``(branch, level)``.

@@ -102,6 +102,22 @@ class TestVolmin:
         assert doc["count"] == doc["syt_count"] == 5
         assert doc["matches_syt_image"] is True
 
+    def test_budget_error_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["volmin", "--k", "5", "--m", "2"])
+        assert code == 2
+        assert "cell budget" in err and out == ""
+
+    def test_max_states_override(self, capsys):
+        code, out, _ = run_cli(capsys, ["volmin", "--k", "5", "--m", "2", "--max-states", "200000"])
+        assert code == 0
+        assert "count: 42" in out
+        assert "matches the standard-tableau image: yes" in out
+
+    def test_max_states_error_names_the_depth_reached(self, capsys):
+        code, out, err = run_cli(capsys, ["volmin", "--k", "5", "--m", "2", "--max-states", "10"])
+        assert code == 2
+        assert "max_states = 10 at depth 1 of 8" in err and out == ""
+
 
 class TestSyt:
     def test_count_only(self, capsys):

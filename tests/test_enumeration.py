@@ -34,7 +34,7 @@ from starchip.core import (
     _volmin_fireable,
 )
 from starchip.enumeration import _sweep
-from oracles import naive_sequence_counts, naive_total_sequences, naive_volmin_moves
+from oracles import naive_sequence_counts, naive_total_sequences, naive_volmin_moves, naive_volmin_outcomes
 
 
 class TestEnumerateAll:
@@ -106,9 +106,12 @@ class TestEnumerateAll:
         with pytest.raises(BudgetExceededError, match=r"max_states = 10 at depth 1 of 14$"):
             enumerate_all(StarParams(2, 3), max_states=10)
 
-    @pytest.mark.parametrize("k, m", [(2, 4), (3, 3), (6, 2)])
+    # every shape with k*m <= 8, so the sweep's key gives each chip 1 to 4 bits
+    @pytest.mark.parametrize(
+        "k, m", [(k, m) for k in range(1, 9) for m in range(1, 8 // k + 1)] + [(3, 3), (6, 2)]
+    )
     def test_census_totals_equal_label_free_count(self, k, m):
-        result = enumerate_all(StarParams(k, m), max_states=100_000)
+        result = enumerate_all(StarParams(k, m), max_states=200_000)  # (1,8) has over 100,000 states
         assert result.total_sequences == naive_total_sequences(k, m)
 
     def test_budget_override_allows_larger_games(self):
@@ -144,7 +147,7 @@ class TestReachableSet:
 
     def test_state_budget_counts_distinct_states(self):
         assert len(reachable_set(StarParams(2, 4), max_states=19_069)) == 16
-        with pytest.raises(BudgetExceededError, match="max_states = 19068"):
+        with pytest.raises(BudgetExceededError, match=r"max_states = 19068 at depth 30 of 30$"):
             reachable_set(StarParams(2, 4), max_states=19_068)
 
     def test_default_budget(self):
@@ -207,6 +210,16 @@ class TestEnumerateVolmin:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_volmin(StarParams(5, 2))
+
+    @pytest.mark.parametrize("k, m, needed, depth, count", [(3, 3, 5_500, 18, 42), (2, 4, 5_212, 30, 14)])
+    def test_state_budget_counts_distinct_states(self, k, m, needed, depth, count):
+        assert len(enumerate_volmin(StarParams(k, m), max_states=needed)) == count
+        with pytest.raises(BudgetExceededError, match=rf"max_states = {needed - 1} at depth {depth} of {depth}$"):
+            enumerate_volmin(StarParams(k, m), max_states=needed - 1)
+
+    @pytest.mark.parametrize("k, m", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3)])
+    def test_matches_the_naive_layered_search(self, k, m):
+        assert enumerate_volmin(StarParams(k, m)) == naive_volmin_outcomes(k, m)
 
 
 def _packed_moves(board, state, slots):
