@@ -7,9 +7,10 @@ has fired, so every path from the start to a given state has the same length
 adds its path count to every child in the next layer, one child per legal
 move, and only two layers are ever held. After ``expected_total_fires``
 layers the counts are the stabilization-sequence counts of the stable
-outcomes, in Python's native big integers. A state is one int holding chip
-c's slot in bits ``width*c`` upward, and a fire adds a cached step to it. Only
-the final states are unpacked, for :func:`core._outcome` to check.
+outcomes, in Python's native big integers. A state is one int, in which slot
+s holds its labels as an n-bit mask at bits ``n*s`` (n = k*m); a fire adds a
+cached step to it. A layer groups its states by chip-count vector and unpacks
+only each group's first state, for the move filter, and the final states.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .core import (
     Outcome,
     StarParams,
     _Board,
+    _State,
     _board,
     _fireable,
     _outcome,
@@ -44,6 +46,7 @@ class EnumerationResult:
 
     params: StarParams
     per_outcome: dict[Outcome, int]
+    """Sequence count of each reachable outcome, in no specified order."""
     total_sequences: int
 
     def outcomes(self) -> set[Outcome]:
@@ -86,56 +89,53 @@ def _check_budget(params: StarParams, max_states: int | None, default_cells: int
 
 
 def _sweep(
-    params: StarParams, max_states: int | None, fire_slots: Callable[[_Board, list[list[int]]], list[int]]
+    params: StarParams, max_states: int | None, fire_slots: Callable[[_Board, _State], list[int]]
 ) -> dict[Outcome, int]:
     """Move sequences reaching each stable outcome when a state may fire the
-    slots ``fire_slots`` gives; ``max_states`` bounds the distinct states
-    discovered over all layers, the start included. ``fire_slots`` gets per-slot
-    label lists but must read chip counts alone, as ``_fireable`` and
-    ``_volmin_fireable`` do: it runs once per chip-count vector."""
+    slots ``fire_slots`` gives, which must read chip counts alone, as
+    ``_fireable`` and ``_volmin_fireable`` do; ``max_states`` bounds the
+    distinct states discovered over all layers, the start included."""
     board = _board(params)
-    deg, routes, n_slots = board.deg, board.routes, len(board.vertex)
-    width = (n_slots - 1).bit_length()
-    mask, labels = (1 << width) - 1, range(1, params.n_chips + 1)
+    deg, routes, n = board.deg, board.routes, params.n_chips
+    full = (1 << n) - 1
 
-    def held(key: int) -> list[list[int]]:
-        by_slot: list[list[int]] = [[] for _ in range(n_slots)]
-        for c in labels:
-            by_slot[key >> (width * c) & mask].append(c)
-        return by_slot
+    def state_of(key: int) -> _State:
+        return tuple(tuple(c for c in range(1, n + 1) if key >> (n * s + c - 1) & 1) for s in range(len(deg)))
 
-    slots_of: dict[tuple[int, ...], list[int]] = {}
-    steps_of: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    total, layer, states = expected_total_fires(params), {0: 1}, 1
+    steps_of: list[dict[int, list[int]]] = [{} for _ in deg]
+    total, states = expected_total_fires(params), 1
+    layer = {tuple(map(len, board.start)): {full: 1}}
     for depth in range(1, total + 1):
-        nxt: dict[int, int] = {}
-        for key, paths in layer.items():
-            state = held(key)
-            slots = slots_of.get(counts := tuple(map(len, state)))
-            if slots is None:
-                slots = slots_of[counts] = fire_slots(board, state)
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for counts, group in layer.items():
+            slots = fire_slots(board, state_of(next(iter(group))))
             if not slots:
                 raise ChipGameError(f"internal error: no legal move at depth {depth - 1} of {total}")
             for s in slots:
-                here = (s, tuple(state[s]))
-                if here not in steps_of:
-                    steps_of[here] = [
-                        sum((u - s) << (width * c) for u, c in zip(routes[s], chips))
-                        for chips in combinations(here[1], deg[s])
-                    ]
-                for step in steps_of[here]:
-                    known = nxt.get(child := key + step)
-                    if known is None:
-                        if max_states is not None and states >= max_states:
-                            raise BudgetExceededError(
-                                f"state count exceeded max_states = {max_states} at depth {depth} of {total}"
-                            )
-                        states += 1
-                        nxt[child] = paths
-                    else:
-                        nxt[child] = known + paths
+                child_counts = [c + 1 if t in routes[s] else c for t, c in enumerate(counts)]
+                child_counts[s] -= deg[s]
+                children = nxt.setdefault(tuple(child_counts), {})
+                shift, cache = n * s, steps_of[s]
+                for key, paths in group.items():
+                    steps = cache.get(here := key >> shift & full)
+                    if steps is None:
+                        steps = cache[here] = [
+                            sum(((1 << n * u) - (1 << shift)) << (c - 1) for u, c in zip(routes[s], chips))
+                            for chips in combinations(state_of(here)[0], deg[s])  # the labels in mask here
+                        ]
+                    for step in steps:
+                        known = children.get(child := key + step)
+                        if known is None:
+                            if max_states is not None and states >= max_states:
+                                raise BudgetExceededError(
+                                    f"state count exceeded max_states = {max_states} at depth {depth} of {total}"
+                                )
+                            states += 1
+                            children[child] = paths
+                        else:
+                            children[child] = known + paths
         layer = nxt
-    return {_outcome(board, tuple(map(tuple, held(key)))): paths for key, paths in layer.items()}
+    return {_outcome(board, state_of(key)): paths for group in layer.values() for key, paths in group.items()}
 
 
 def enumerate_all(params: StarParams, max_states: int | None = None) -> EnumerationResult:

@@ -271,6 +271,26 @@ def test_sweep_refuses_a_dead_end_before_the_last_layer():
         _sweep(StarParams(2, 2), None, lambda board, state: [])
 
 
+def test_sweep_filters_each_chip_count_vector_once():
+    # the move filter reads chip counts alone, so the sweep asks it once per
+    # distinct count vector, with that group's first state in packed form
+    for k, m, fire_slots, expected in [
+        (2, 4, _fireable, 143),
+        (2, 4, _volmin_fireable, 46),
+        (3, 3, _fireable, 72),
+        (3, 3, _volmin_fireable, 39),
+    ]:
+        seen = []
+
+        def spy(board, state):
+            assert isinstance(state, tuple) and all(isinstance(labels, tuple) for labels in state)
+            seen.append(tuple(map(len, state)))
+            return fire_slots(board, state)
+
+        _sweep(StarParams(k, m), None, spy)
+        assert len(seen) == len(set(seen)) == expected, (k, m, fire_slots.__name__)
+
+
 class TestResultSerialization:
     def test_json_roundtrip(self):
         result = enumerate_all(StarParams(2, 2))
