@@ -74,8 +74,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_volmin(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
-    outcomes = enumerate_volmin(params, max_states=args.max_states)
+    # Build the tableau image first, so a shape past the generation budget
+    # is refused before the search runs.
     image = {to_outcome(t) for t in generate_syts(params.k, params.m)}
+    outcomes = enumerate_volmin(params, max_states=args.max_states)
     matches = outcomes == image
     if args.json:
         doc = {

@@ -17,10 +17,11 @@ Configurations are immutable values; firing produces a fresh configuration.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Outcome = tuple[tuple[int, ...], ...]
 """Stable result of the labeled game: row i holds branch i's labels, center-outward."""
@@ -339,14 +340,19 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
 
 # Packed state: what the exhaustive searches, the game drivers, the replays
 # and the verifiers run on, from _Board.start to the matrix _outcome reads
-# off. It is a flat tuple indexed by vertex slot, slot 0 being the center and
-# slot 1 + (i-1)*m + (j-1) branch i, level j, and each slot holds the sorted
-# tuple of its labels. Started from k*m chips on the center, level m never
-# fires (see engine.expected_fire_count), so no chip passes it and the slots
-# cover every reachable state. LabeledConfig is the checked public form;
-# _pack and _unpack convert at the edges.
+# off. It is indexed by vertex slot, slot 0 being the center and slot
+# 1 + (i-1)*m + (j-1) branch i, level j, and each slot holds its labels in
+# ascending order. The sweep keeps each state as a tuple of tuples. A game,
+# a replay or a verifier copies _Board.start into one list of lists and
+# fires in place on it (see _fire), so a fire touches only the fired slot
+# and its receivers; whoever reads that list while the game runs, a
+# strategy included, must not change it. Started from k*m chips on the
+# center, level m never fires (see engine.expected_fire_count), so no chip
+# passes it and the slots cover every reachable state. LabeledConfig is the
+# checked public form; _pack and _unpack convert at the edges. Every reader
+# here only indexes slots and takes their length, so it reads either form.
 
-_State = tuple[tuple[int, ...], ...]
+_State = Sequence[Sequence[int]]
 
 
 class _Board(NamedTuple):
@@ -407,18 +413,21 @@ def _fireable(board: _Board, state: _State) -> list[int]:
     return [s for s in board.firing if len(state[s]) >= deg[s]]
 
 
-def _fire(board: _Board, state: _State, s: int, chips: tuple[int, ...]) -> _State:
-    """Unchecked :func:`apply_move` on a packed state: ``chips`` must be a
-    sorted size-degree subset of slot ``s``'s labels."""
-    new = list(state)
-    new[s] = tuple(c for c in state[s] if c not in chips)
+def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...]) -> None:
+    """Unchecked :func:`apply_move` in place on a game's packed state:
+    ``chips`` must be a sorted size-degree subset of slot ``s``'s labels.
+
+    Only slot ``s`` and its receivers change. Fired labels that ``s`` does
+    not hold are still routed, so a strategy that breaks the rules gets no
+    error here; ``_outcome`` refuses what it leaves behind."""
+    state[s] = [c for c in state[s] if c not in chips]
     for u, c in zip(board.routes[s], chips):
-        new[u] = tuple(sorted((*new[u], c)))
-    return tuple(new)
+        insort(state[u], c)
 
 
-def _fire_checked(board: _Board, state: _State, move: Move) -> _State:
-    """:func:`apply_move` on a packed state, with the same checks and errors.
+def _fire_checked(board: _Board, state: list[list[int]], move: Move) -> None:
+    """:func:`apply_move` in place on a game's packed state, with the same
+    checks and errors; a refused move leaves the state as it was.
 
     A vertex past level m has no slot and holds nothing, so every fire there
     is rejected. From the all-on-center start, level m never holds two chips
@@ -427,7 +436,7 @@ def _fire_checked(board: _Board, state: _State, move: Move) -> _State:
     v, fired = move
     s = board.slot.get(v)
     _check_fire(board.params, v, () if s is None else state[s], fired)
-    return _fire(board, state, s, fired)
+    _fire(board, state, s, fired)
 
 
 def _calmest(board: _Board, state: _State, fireable: list[int]) -> list[int]:

@@ -6,11 +6,13 @@ each vertex fires (confluence). Starting from k*m chips on the center, the
 one start of the labeled game (``_Board.start``), those counts have a closed
 form: :func:`expected_fire_count`, and :func:`expected_total_fires`, the
 length of every labeled game. Games and replays run on the packed state of
-:mod:`starchip.core`: a strategy names each fire as a slot and its chips,
-and the final state is checked once, as ``core._outcome`` reads it off.
+:mod:`starchip.core`, one mutable copy of ``_Board.start`` per game, fired
+in place: a strategy names each fire as a slot and its chips, and the final
+state is checked once, as ``core._outcome`` reads it off.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -158,10 +160,14 @@ class Strategy(Protocol):
     """What :func:`stabilize_labeled` asks of a strategy."""
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
-        """The next fire on a packed state (see :mod:`starchip.core`), as a
-        slot and the sorted chips it fires there. ``fireable`` is the
-        driver's one scan of the state: the fireable slots in canonical
-        vertex order, never empty."""
+        """The next fire on the game's packed state (see :mod:`starchip.core`),
+        as a slot and a sorted tuple of the chips it fires there.
+
+        ``state`` is the game's one mutable state and ``fireable`` the
+        driver's list of its fireable slots in canonical vertex order, never
+        empty; the driver changes both after each fire. A strategy reads
+        them and must not change them, and the chips it returns must be a
+        copy, not a slot of ``state``."""
 
 
 class Deterministic:
@@ -170,7 +176,7 @@ class Deterministic:
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
         s = fireable[0]
-        return s, state[s][: board.deg[s]]
+        return s, tuple(state[s][: board.deg[s]])
 
 
 class RandomUniform:
@@ -223,23 +229,36 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
     """Play one game from all chips on the center with moves chosen by
     ``strategy``; return the canonical outcome matrix and the move log.
 
-    Every legal game from that start makes exactly expected_total_fires
-    fires, so the game stops after that many, or earlier if nothing can
-    fire. Fires run unchecked on the packed state of :mod:`starchip.core`;
+    The game holds one mutable packed state (see :mod:`starchip.core`), a
+    copy of ``_Board.start``, and fires on it in place, unchecked. A fire
+    changes the chip counts of its slot and that slot's receivers alone, so
+    after each fire the list of fireable slots the strategy reads is brought
+    up to date at those slots only, in canonical vertex order. Every legal
+    game from that start makes exactly expected_total_fires fires, so the
+    game stops after that many, or earlier if nothing can fire.
     ``core._outcome`` checks the final state once and raises ShapeError on
     whatever a strategy that breaks the rules leaves behind, replaying the
     moves with every check to name the strategy's first illegal fire.
     """
     board = _board(params)
-    state = board.start
+    deg, routes, vertex = board.deg, board.routes, board.vertex
+    state = [list(labels) for labels in board.start]
+    fireable = _fireable(board, state)
     moves: list[Move] = []
     for _ in range(expected_total_fires(params)):
-        fireable = _fireable(board, state)
         if not fireable:
             break
         s, chips = strategy.pick(board, state, fireable)
-        state = _fire(board, state, s, chips)
-        moves.append(Move(board.vertex[s], chips))
+        _fire(board, state, s, chips)
+        moves.append(Move(vertex[s], chips))
+        for t in (s, *routes[s]):
+            i = bisect_left(fireable, t)
+            listed = i < len(fireable) and fireable[i] == t
+            if routes[t] and len(state[t]) >= deg[t]:  # only slots with routes fire
+                if not listed:
+                    fireable.insert(i, t)
+            elif listed:
+                del fireable[i]
     try:
         return _outcome(board, state), SequenceLog(params, tuple(moves))
     except ShapeError as e:
@@ -272,11 +291,11 @@ def replay(params: StarParams, moves: Iterable[Move]) -> tuple[Outcome | Labeled
     :func:`starchip.core.apply_move` checks it, on the packed state.
     """
     board = _board(params)
-    state = board.start
+    state = [list(labels) for labels in board.start]
     played: list[Move] = []
     for t, mv in enumerate(moves, start=1):
         try:
-            state = _fire_checked(board, state, mv)
+            _fire_checked(board, state, mv)
         except IllegalMoveError as e:
             config = _unpack(params, state)
             raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {config!r}", step=t) from None

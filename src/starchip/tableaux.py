@@ -156,7 +156,7 @@ class _WitnessScript:
             s = min(branch, key=lambda s: (level[s], s))
             if len(state[s]) != 2:
                 raise WitnessConstructionError(f"branch vertex {board.vertex[s]} holds {list(state[s])}")
-            return s, state[s]
+            return s, tuple(state[s])
         present = set(state[0])
         for column in reversed(self._columns):
             if present.issuperset(column):

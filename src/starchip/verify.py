@@ -151,7 +151,7 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
 
     endgame_at = {t: ref for ref, t in positions.items()}
     board = _board(params)
-    state = board.start
+    state = [list(labels) for labels in board.start]
     for t, mv in enumerate(log.moves):
         ref = endgame_at.get(t)
         if ref is not None:
@@ -167,7 +167,7 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
                     )
                 )
         try:
-            state = _fire_checked(board, state, mv)
+            _fire_checked(board, state, mv)
         except IllegalMoveError as e:
             violations.append(Violation("illegal-replay", (t,), str(e)))
             break

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -117,6 +119,16 @@ class TestVolmin:
         code, out, err = run_cli(capsys, ["volmin", "--k", "5", "--m", "2", "--max-states", "10"])
         assert code == 2
         assert "max_states = 10 at depth 1 of 8" in err and out == ""
+
+    def test_generation_budget_checked_before_the_search(self, capsys):
+        # the (5,3) sweep would take seconds and hundreds of MB before the
+        # tableau image was found to be out of budget
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["volmin", "--k", "5", "--m", "3", "--max-states", "20000000"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "k*m = 15 exceeds the generation cell budget of 12" in err
 
 
 class TestSyt:
@@ -289,3 +301,32 @@ class TestDeterminism:
         code2, out2, _ = run_cli(capsys, argv)
         assert code1 == code2 == 0
         assert out1.encode() == out2.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "stabilize --k 10 --m 10 --strategy random --seed 0 --json",
+            "18118cb162736be9bf66be81e4e2cf7eca16a44b23dc77033492de95ea003c52",
+        ),
+        (
+            "stabilize --k 10 --m 10 --strategy det --json",
+            "064166330605805b548983b7e3639af2254346cd5ff00f38eac1999a551495f4",
+        ),
+        (
+            "stabilize --k 6 --m 5 --strategy volmin --seed 0 --json",
+            "89c08345382b8826d1ba6601ba8808aa50b27495fef532087a15e7ebabeba251",
+        ),
+        (
+            "montecarlo --k 3 --m 3 --trials 2000 --seed 0 --json",
+            "fe8ee62a6292fa3d4b613bb67277706d58809a9d6060293b8dee133e5fb9e9cd",
+        ),
+    ],
+)
+def test_seeded_output_matches_its_golden_digest(capsys, argv, digest):
+    # sha256 of stdout, move lists included, taken when every fire built a
+    # new tuple state; the benchmark pins only the long games' outcome text
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -27,7 +27,9 @@ from starchip import (
     stabilize_unlabeled,
     verify_poset,
 )
+from starchip.core import _fireable, totally_sorted_outcome
 from starchip.engine import _unrank
+from starchip.tableaux import Tableau, _WitnessScript
 
 from oracles import naive_play
 
@@ -267,6 +269,58 @@ def test_a_broken_strategy_is_refused_within_the_game_length(fault):
     with pytest.raises(ShapeError, match=r"first illegal fire was illegal move C:\{[\d,]+\} at step 1"):
         stabilize_labeled(params, strategy)
     assert 0 < strategy.picks <= expected_total_fires(params)
+
+
+class _Spy:
+    """Passes each pick on to ``inner``, first checking that the fireable
+    list the driver keeps up to date fire by fire equals a rescan."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.picks = 0
+
+    def pick(self, board, state, fireable):
+        assert fireable == _fireable(board, state)
+        self.picks += 1
+        return self.inner.pick(board, state, fireable)
+
+
+_SMALL_SHAPES = [(k, m) for k in range(1, 13) for m in range(1, 12 // k + 1)]
+
+
+def _strategies(k, m):
+    """Every strategy of the package, the witness scripts of two standard
+    tableaux included: filled row by row and column by column."""
+    by_rows = Tableau(totally_sorted_outcome(StarParams(k, m)))
+    by_columns = Tableau(tuple(tuple(j * k + i + 1 for j in range(m)) for i in range(k)))
+    return [
+        Deterministic(),
+        RandomUniform(k * 100 + m),
+        VolatilityMinimizing(k * 100 + m),
+        _WitnessScript(by_rows),
+        _WitnessScript(by_columns),
+    ]
+
+
+@pytest.mark.parametrize("k, m", _SMALL_SHAPES + [(10, 10)])
+def test_the_kept_fireable_list_equals_a_rescan(k, m):
+    params = StarParams(k, m)
+    for strategy in _strategies(k, m):
+        spy = _Spy(strategy)
+        _, log = stabilize_labeled(params, spy)
+        assert spy.picks == len(log) == expected_total_fires(params)
+        assert all(type(mv.chips) is tuple for mv in log)
+
+
+@pytest.mark.parametrize("fault", ["one chip too few", "labels it does not hold"])
+@pytest.mark.parametrize("k, m", [(2, 3), (3, 3), (10, 10)])
+def test_a_broken_fire_changes_only_its_slot_and_receivers(fault, k, m):
+    # the kept list is updated at the fired slot and its receivers alone,
+    # which is right only if no fire, legal or not, changes another slot
+    spy = _Spy(_BrokenStrategy(fault))
+    with pytest.raises(ShapeError, match="first illegal fire"):
+        stabilize_labeled(StarParams(k, m), spy)
+    assert spy.picks > 0
 
 
 def _object_replay(params, moves):

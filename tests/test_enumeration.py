@@ -106,7 +106,8 @@ class TestEnumerateAll:
         with pytest.raises(BudgetExceededError, match=r"max_states = 10 at depth 1 of 14$"):
             enumerate_all(StarParams(2, 3), max_states=10)
 
-    # every shape with k*m <= 8, so the sweep's key gives each chip 1 to 4 bits
+    # every shape with k*m <= 8, where the sweep's key gives each slot a
+    # k*m-bit mask of 1 to 8 bits, and the wider masks of (3,3) and (6,2)
     @pytest.mark.parametrize(
         "k, m", [(k, m) for k in range(1, 9) for m in range(1, 8 // k + 1)] + [(3, 3), (6, 2)]
     )
@@ -234,7 +235,7 @@ def _naive_vertex(v):
 @settings(deadline=None)
 @given(st.data())
 def test_packed_kernel_matches_object_model(data):
-    # Random legal games, played through the packed kernel the searches and
+    # Random legal games, played in place through the packed kernel the
     # drivers use, the checked fire the replays use, apply_move/legal_moves
     # and the oracle's volmin filter side by side, from the board's start to
     # the outcome read off the packed state.
@@ -243,10 +244,10 @@ def test_packed_kernel_matches_object_model(data):
     params = StarParams(k, m)
     board = _board(params)
     config = initial_labeled(params)
-    state = board.start
+    state = [list(labels) for labels in board.start]
     while True:
         assert _unpack(params, state) == config
-        assert _pack(config) == state
+        assert _pack(config) == tuple(map(tuple, state))
         moves = legal_moves(config)
         assert _packed_moves(board, state, _fireable(board, state)) == moves
         volmin = _packed_moves(board, state, _volmin_fireable(board, state))
@@ -260,9 +261,10 @@ def test_packed_kernel_matches_object_model(data):
             break
         mv = data.draw(st.sampled_from(moves), label="move")
         config = apply_move(config, mv)
-        fired = _fire(board, state, board.slot[mv.vertex], mv.chips)
-        assert _fire_checked(board, state, mv) == fired
-        state = fired
+        checked = [list(labels) for labels in state]
+        _fire_checked(board, checked, mv)
+        _fire(board, state, board.slot[mv.vertex], mv.chips)
+        assert checked == state
 
 
 def test_sweep_refuses_a_dead_end_before_the_last_layer():
