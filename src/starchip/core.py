@@ -296,20 +296,24 @@ def _receivers(k: int, v: Vertex) -> tuple[Vertex, ...]:
     return (CENTER if v.level == 1 else Vertex(v.branch, v.level - 1), Vertex(v.branch, v.level + 1))
 
 
-def _check_fire(params: StarParams, v: Vertex, have: Iterable[int], fired: tuple[int, ...]) -> None:
+def _check_fire(
+    params: StarParams, v: Vertex, have: Iterable[int], fired: tuple[int, ...], d: int | None = None
+) -> None:
     """The legality checks of firing ``fired`` at ``v`` while it holds the
     labels ``have``, shared by :func:`apply_move` and :func:`_fire_checked`.
+    ``d`` is v's degree if the caller has it; otherwise it is looked up.
 
     Raises IllegalMoveError, also for a vertex off the star."""
-    try:
-        d = degree(params, v)
-    except ValueError:  # check_vertex: v is off the star
-        raise IllegalMoveError(v, fired, f"vertex is not on a star with k={params.k}") from None
+    if d is None:
+        try:
+            d = degree(params, v)
+        except ValueError:  # check_vertex: v is off the star
+            raise IllegalMoveError(v, fired, f"vertex is not on a star with k={params.k}") from None
     if len(fired) != d:
         raise IllegalMoveError(v, fired, f"must fire exactly {d} chips")
     if tuple(sorted(fired)) != fired or len(set(fired)) != d:
         raise IllegalMoveError(v, fired, "chips must be distinct and sorted")
-    if not set(fired) <= set(have):
+    if not set(fired).issubset(have):
         raise IllegalMoveError(v, fired, f"chips not present (vertex holds {sorted(have)})")
 
 
@@ -435,7 +439,9 @@ def _fire_checked(board: _Board, state: list[list[int]], move: Move) -> None:
     a vertex more often), so the checks also reject every fire there."""
     v, fired = move
     s = board.slot.get(v)
-    _check_fire(board.params, v, () if s is None else state[s], fired)
+    if s is None:
+        _check_fire(board.params, v, (), fired)  # raises: nothing fires off the slots
+    _check_fire(board.params, v, state[s], fired, board.deg[s])
     _fire(board, state, s, fired)
 
 

@@ -161,7 +161,8 @@ class Strategy(Protocol):
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
         """The next fire on the game's packed state (see :mod:`starchip.core`),
-        as a slot and a sorted tuple of the chips it fires there.
+        as a slot and the sorted chips it fires there, which the log
+        records as a tuple.
 
         ``state`` is the game's one mutable state and ``fireable`` the
         driver's list of its fireable slots in canonical vertex order, never
@@ -187,8 +188,9 @@ class RandomUniform:
         self._rng = SplitMix64(seed)
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
-        s = fireable[self._rng.randrange(len(fireable))]
-        return s, self._rng.subset(state[s], board.deg[s])
+        rng = self._rng
+        s = fireable[rng.randrange(len(fireable))]
+        return s, rng.subset(state[s], board.deg[s])
 
 
 class VolatilityMinimizing:
@@ -250,7 +252,7 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
             break
         s, chips = strategy.pick(board, state, fireable)
         _fire(board, state, s, chips)
-        moves.append(Move(vertex[s], chips))
+        moves.append(Move(vertex[s], tuple(chips)))
         for t in (s, *routes[s]):
             i = bisect_left(fireable, t)
             listed = i < len(fireable) and fireable[i] == t

@@ -3,14 +3,24 @@
 Randomized runs must be reproducible from a seed alone, independent of
 platform and interpreter version, so the package carries its own generator
 instead of relying on ``random``'s stream stability. The algorithm is
-splitmix64: state advances by a fixed odd constant and each output is a
-finalizing bit mix of the state. It is not cryptographic; it is a small,
-well-understood stream with good equidistribution for simulation use.
+splitmix64 (Steele, Lea and Flood, OOPSLA 2014): state advances by a fixed
+odd constant and each output is a finalizing bit mix of the state. It is not
+cryptographic; it is a small, well-understood stream with good
+equidistribution for simulation use.
+
+A draw below n takes outputs until one lies below the largest multiple of n
+under 2^64 and returns it mod n. ``randrange`` and ``subset`` each run that
+loop inline. For n = 1 or 2 that multiple is 2^64 itself, so no output is
+ever rejected and each draw advances the state exactly once. When the value
+drawn does not matter either, as in ``randrange(1)`` or a ``subset`` that
+takes the whole of a pool of one or two, the state is advanced and the mix
+is skipped: the stream goes on exactly as if the outputs had been computed.
 """
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_TWO64 = 1 << 64
 
 
 def _mix(z: int) -> int:
@@ -44,10 +54,18 @@ class SplitMix64:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
-        limit = (1 << 64) - ((1 << 64) % n)
+        z = self._state
+        if n == 1:
+            self._state = (z + _GOLDEN) & _MASK64
+            return 0
+        limit = _TWO64 - _TWO64 % n
         while True:
-            r = self.next_u64()
+            z = (z + _GOLDEN) & _MASK64
+            r = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            r = ((r ^ (r >> 27)) * 0x94D049BB133111EB) & _MASK64
+            r ^= r >> 31
             if r < limit:
+                self._state = z
                 return r % n
 
     def choice(self, seq):
@@ -59,12 +77,27 @@ class SplitMix64:
         """Uniform random size-subset of ``pool``, returned sorted.
 
         Drawn by sequential removal without replacement, which induces the
-        uniform distribution on subsets.
+        uniform distribution on subsets: the same draws, in the same order,
+        as ``size`` calls of ``randrange(len(left))``.
         """
         items = sorted(pool)
-        if size > len(items):
-            raise ValueError(f"cannot draw {size} items from {len(items)}")
+        n = len(items)
+        if size > n:
+            raise ValueError(f"cannot draw {size} items from {n}")
+        z = self._state
+        if size == n <= 2:
+            self._state = (z + size * _GOLDEN) & _MASK64
+            return tuple(items)
         picked = []
-        for _ in range(size):
-            picked.append(items.pop(self.randrange(len(items))))
+        for left in range(n, n - size, -1):
+            limit = _TWO64 - _TWO64 % left
+            while True:
+                z = (z + _GOLDEN) & _MASK64
+                r = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                r = ((r ^ (r >> 27)) * 0x94D049BB133111EB) & _MASK64
+                r ^= r >> 31
+                if r < limit:
+                    break
+            picked.append(items.pop(r % left))
+        self._state = z
         return tuple(sorted(picked))

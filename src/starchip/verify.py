@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .core import (
     IllegalMoveError,
@@ -34,9 +35,9 @@ from .core import (
     StarParams,
     Vertex,
     CENTER,
+    _Board,
     _board,
     _fire_checked,
-    _receivers,
 )
 from .engine import SequenceLog, expected_fire_count, expected_total_fires
 
@@ -95,21 +96,42 @@ def endgame_refs(params: StarParams) -> list[FireRef]:
     return [FireRef(board.vertex[s], f) for s in board.firing for f in range(params.m - board.level[s])]
 
 
+@lru_cache(maxsize=None)
+def _closed_form_counts(params: StarParams) -> dict[Vertex, int]:
+    """How often each vertex below level m fires in every complete
+    stabilization, in slot order. Built once per shape, as ``core._board``
+    is, and never changed."""
+    board = _board(params)
+    return {board.vertex[s]: expected_fire_count(params, board.vertex[s]) for s in board.firing}
+
+
+def _endgame_times(log: SequenceLog, board: _Board) -> list[Sequence[int]]:
+    """For each slot, the log indices of its endgame fires, last fire first:
+    entry f is the index of the slot's f-th fire from the end. Slots at
+    level m have none.
+
+    Raises LogInconsistencyError if the log's per-vertex fire counts do not
+    match the closed-form counts of a complete stabilization."""
+    actual = log.per_vertex_fire_count
+    wanted = _closed_form_counts(board.params)
+    if actual != wanted:
+        raise LogInconsistencyError(f"per-vertex fire counts {actual} disagree with the closed form {wanted}")
+    times: list[Sequence[int]] = [()] * len(board.vertex)
+    for s in board.firing:
+        n = board.params.m - board.level[s]
+        times[s] = log.positions_of(board.vertex[s])[-n:][::-1]
+    return times
+
+
 def endgame_positions(log: SequenceLog) -> dict[FireRef, int]:
     """Map each endgame fire, in :func:`endgame_refs` order, to its 0-based index in the log.
 
     Raises LogInconsistencyError if the log's per-vertex fire counts do not
     match the closed-form counts of a complete stabilization.
     """
-    params = log.params
-    board = _board(params)
-    actual = log.per_vertex_fire_count
-    wanted = {board.vertex[s]: expected_fire_count(params, board.vertex[s]) for s in board.firing}
-    if actual != wanted:
-        raise LogInconsistencyError(
-            f"per-vertex fire counts {actual} disagree with the closed form {wanted}"
-        )
-    return {ref: log.positions_of(ref.vertex)[-1 - ref.from_end] for ref in endgame_refs(params)}
+    board = _board(log.params)
+    times = _endgame_times(log, board)
+    return {FireRef(board.vertex[s], f): t for s in board.firing for f, t in enumerate(times[s])}
 
 
 def verify_poset(log: SequenceLog) -> VerifierReport:
@@ -118,51 +140,51 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
     All findings are reported, none raised: a log that cannot even be
     replayed yields an ``illegal-replay`` violation.
     """
-    params = log.params
-    violations: list[Violation] = []
+    board = _board(log.params)
     try:
-        positions = endgame_positions(log)
+        times = _endgame_times(log, board)
     except LogInconsistencyError as e:
         return _report([Violation("fire-count-mismatch", (), str(e))])
+    violations: list[Violation] = []
 
-    def require_before(earlier: FireRef, later: FireRef, rule: str) -> None:
-        if positions[earlier] >= positions[later]:
+    def require_before(u: int, g: int, s: int, f: int, rule: str) -> None:
+        """Slot u's g-th fire from the end must precede slot s's f-th, if
+        both are endgame fires."""
+        if g < len(times[u]) and times[u][g] >= times[s][f]:
+            earlier, later = FireRef(board.vertex[u], g), FireRef(board.vertex[s], f)
             violations.append(
                 Violation(
                     rule,
                     (earlier, later),
-                    f"{earlier.vertex}^{earlier.from_end} at index {positions[earlier]} "
-                    f"must precede {later.vertex}^{later.from_end} at index {positions[later]}",
+                    f"{earlier.vertex}^{g} at index {times[u][g]} "
+                    f"must precede {later.vertex}^{f} at index {times[s][f]}",
                 )
             )
 
-    for ref in positions:
-        v, f = ref
-        if v.is_center:
-            if f < params.m - 1:
-                for u in _receivers(params.k, v):
-                    require_before(FireRef(u, f), ref, "branch-precedes-center")
-        else:
-            inner, outer = _receivers(params.k, v)
-            require_before(FireRef(inner, f + 1), ref, "inner-refire-precedes")
-            outer_ref = FireRef(outer, f)
-            if outer_ref in positions:
-                require_before(outer_ref, ref, "outer-precedes")
+    for s in board.firing:
+        receivers = board.routes[s]
+        for f in range(len(times[s])):
+            if s == 0:  # the center
+                for u in receivers:
+                    require_before(u, f, s, f, "branch-precedes-center")
+            else:
+                inner, outer = receivers
+                require_before(inner, f + 1, s, f, "inner-refire-precedes")
+                require_before(outer, f, s, f, "outer-precedes")
 
-    endgame_at = {t: ref for ref, t in positions.items()}
-    board = _board(params)
+    endgame_at = {t: f for ts in times for f, t in enumerate(ts)}
     state = [list(labels) for labels in board.start]
     for t, mv in enumerate(log.moves):
-        ref = endgame_at.get(t)
-        if ref is not None:
+        f = endgame_at.get(t)
+        if f is not None:
             # the fire counts matched, so every fired vertex has a slot
             s = board.slot[mv.vertex]
             if len(state[s]) != board.deg[s]:
                 violations.append(
                     Violation(
                         "exact-degree-chips",
-                        (ref,),
-                        f"endgame fire {mv.vertex}^{ref.from_end} at index {t} ran with "
+                        (FireRef(mv.vertex, f),),
+                        f"endgame fire {mv.vertex}^{f} at index {t} ran with "
                         f"{len(state[s])} chips present, not {board.deg[s]}",
                     )
                 )

@@ -12,6 +12,38 @@ from starchip.rng import SplitMix64
 
 CENTER = "C"
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+class ReferenceSplitMix64:
+    """The splitmix64 stream with one mixed draw per loop: ``randrange``
+    takes ``next_u64`` outputs until one lies below the largest multiple of
+    n under 2^64, and ``subset`` pops one ``randrange`` draw at a time from
+    the sorted pool. It carries its own copy of the mix, so it shares no
+    code with :class:`starchip.rng.SplitMix64`."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GOLDEN) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def randrange(self, n: int) -> int:
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            r = self.next_u64()
+            if r < limit:
+                return r % n
+
+    def subset(self, pool, size: int) -> tuple:
+        items = sorted(pool)
+        return tuple(sorted(items.pop(self.randrange(len(items))) for _ in range(size)))
+
 
 def _naive_moves(cfg, k):
     moves = []
@@ -152,9 +184,9 @@ def naive_play(k: int, m: int, strategy: str, seed: int) -> list:
     vertex uniformly, then its chips drawn one at a time without
     replacement from the sorted pool) or ``"volmin"`` (a move that
     ``naive_volmin_moves`` allows). The random and volmin players index the
-    full list they built with ``SplitMix64.randrange``.
+    full list they built with ``ReferenceSplitMix64.randrange``.
     """
-    rng = SplitMix64(seed)
+    rng = ReferenceSplitMix64(seed)
     cfg = {CENTER: frozenset(range(1, k * m + 1))}
     played = []
     while True:

@@ -30,6 +30,7 @@ from starchip import (
 from starchip.core import _fireable, totally_sorted_outcome
 from starchip.engine import _unrank
 from starchip.tableaux import Tableau, _WitnessScript
+from starchip.verify import check_game
 
 from oracles import naive_play
 
@@ -269,6 +270,23 @@ def test_a_broken_strategy_is_refused_within_the_game_length(fault):
     with pytest.raises(ShapeError, match=r"first illegal fire was illegal move C:\{[\d,]+\} at step 1"):
         stabilize_labeled(params, strategy)
     assert 0 < strategy.picks <= expected_total_fires(params)
+
+
+class _SlicingStrategy:
+    """Plays as Deterministic does, but returns its chips as a list slice
+    of the live state rather than a tuple."""
+
+    def pick(self, board, state, fireable):
+        s = fireable[0]
+        return s, state[s][: board.deg[s]]
+
+
+def test_a_strategy_returning_list_chips_logs_tuples_and_passes_every_check():
+    params = StarParams(2, 2)
+    outcome, log = stabilize_labeled(params, _SlicingStrategy())
+    assert all(type(mv.chips) is tuple for mv in log)
+    assert log == stabilize_labeled(params, Deterministic())[1]
+    assert all(check_game(outcome, log).values())
 
 
 class _Spy:

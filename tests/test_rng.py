@@ -2,7 +2,12 @@ from itertools import combinations
 
 import pytest
 
-from starchip.rng import SplitMix64, derive_seed
+from oracles import ReferenceSplitMix64
+from starchip.rng import _GOLDEN, _MASK64, SplitMix64, derive_seed
+
+# The first raw draw from this seed is 2^64 - 1, the one value every range
+# that is not a power of two rejects.
+REJECTING_SEED = 0x31628AF67B2131AB
 
 
 def test_same_seed_same_stream():
@@ -63,3 +68,47 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(123, 0) != derive_seed(124, 0)
     with pytest.raises(ValueError):
         derive_seed(1, -1)
+
+
+def _seeds():
+    return [0, 1, REJECTING_SEED, _MASK64] + [derive_seed(2024, i) for i in range(200)]
+
+
+def test_randrange_follows_the_reference_stream():
+    ranges = list(range(1, 13)) + [1 << 32, 3 << 61, (1 << 63) + 1, _MASK64, 1 << 64]
+    for seed in _seeds():
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        for n in ranges:
+            assert rng.randrange(n) == ref.randrange(n), (seed, n)
+            assert rng._state == ref.state, (seed, n)
+
+
+def test_subset_follows_the_reference_stream_for_every_size():
+    # sizes equal to the pool's length include the forced draws of 1 and 2
+    for seed in _seeds():
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        for n in range(1, 13):
+            pool = [(7 * i) % 13 for i in range(n, 0, -1)]
+            for size in range(n + 1):
+                assert rng.subset(pool, size) == ref.subset(pool, size), (seed, n, size)
+                assert rng._state == ref.state, (seed, n, size)
+
+
+class TestRejectionPath:
+    def test_the_first_raw_draw_is_the_largest(self):
+        assert SplitMix64(REJECTING_SEED).next_u64() == _MASK64
+
+    def test_randrange_3_rejects_it_and_draws_again(self):
+        rng = SplitMix64(REJECTING_SEED)
+        assert rng.randrange(3) == ReferenceSplitMix64(REJECTING_SEED).randrange(3)
+        assert rng._state == (REJECTING_SEED + 2 * _GOLDEN) & _MASK64
+
+    def test_randrange_4_keeps_it(self):
+        rng = SplitMix64(REJECTING_SEED)
+        assert rng.randrange(4) == 3
+        assert rng._state == (REJECTING_SEED + _GOLDEN) & _MASK64
+
+    def test_subset_of_three_takes_four_draws(self):
+        rng = SplitMix64(REJECTING_SEED)
+        assert rng.subset([7, 5, 6], 3) == (5, 6, 7)
+        assert rng._state == (REJECTING_SEED + 4 * _GOLDEN) & _MASK64

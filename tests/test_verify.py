@@ -20,7 +20,7 @@ from starchip import (
     verify_poset,
     verify_rim_sorted,
 )
-from starchip.verify import FireRef, VerifierReport, Violation, check_game
+from starchip.verify import FireRef, VerifierReport, Violation, _closed_form_counts, check_game
 
 
 def det_log(k: int, m: int) -> SequenceLog:
@@ -40,6 +40,19 @@ def forged_order_swap() -> SequenceLog:
             Move(Vertex(2, 1), (2, 4)),
         ),
     )
+
+
+def R(branch: int, level: int, from_end: int) -> FireRef:
+    return FireRef(Vertex(branch, level), from_end)
+
+
+# A (3,3) game with six fires moved: its fire counts are right, it breaks
+# every order rule, and its replay fails at index 5.
+FORGED_3X3 = (
+    "C:{3,8,9} C:{5,6,7} C:{1,2,4} B(2,1):{2,6} B(3,1):{7,9} B(2,1):{6,8} B(3,1):{4,7} "
+    "B(2,1):{2,6} B(1,1):{1,3} B(3,1):{4,7} C:{1,6,7} B(3,2):{7,9} C:{1,2,4} B(2,2):{6,8} "
+    "B(1,1):{1,5} B(1,1):{1,3} B(1,2):{3,5} C:{1,2,4}"
+)
 
 
 class TestEndgamePositions:
@@ -96,6 +109,33 @@ class TestVerifyPoset:
         rules = {v.rule for v in report.violations}
         assert "branch-precedes-center" in rules
         assert "illegal-replay" in rules
+
+    def test_forged_log_violations_in_full(self):
+        log = SequenceLog.from_text(StarParams(3, 3), FORGED_3X3.replace(" ", "\n"))
+        report = verify_poset(log)
+        assert [(v.rule, v.subject, v.detail) for v in report.violations] == [
+            ("branch-precedes-center", (R(1, 1, 1), R(0, 0, 1)), "B(1,1)^1 at index 14 must precede C^1 at index 12"),
+            ("outer-precedes", (R(1, 2, 0), R(1, 1, 0)), "B(1,2)^0 at index 16 must precede B(1,1)^0 at index 15"),
+            ("inner-refire-precedes", (R(0, 0, 1), R(2, 1, 0)), "C^1 at index 12 must precede B(2,1)^0 at index 7"),
+            ("outer-precedes", (R(2, 2, 0), R(2, 1, 0)), "B(2,2)^0 at index 13 must precede B(2,1)^0 at index 7"),
+            ("inner-refire-precedes", (R(0, 0, 2), R(2, 1, 1)), "C^2 at index 10 must precede B(2,1)^1 at index 5"),
+            ("inner-refire-precedes", (R(0, 0, 1), R(3, 1, 0)), "C^1 at index 12 must precede B(3,1)^0 at index 9"),
+            ("outer-precedes", (R(3, 2, 0), R(3, 1, 0)), "B(3,2)^0 at index 11 must precede B(3,1)^0 at index 9"),
+            ("inner-refire-precedes", (R(0, 0, 2), R(3, 1, 1)), "C^2 at index 10 must precede B(3,1)^1 at index 6"),
+            ("exact-degree-chips", (R(2, 1, 1),), "endgame fire B(2,1)^1 at index 5 ran with 1 chips present, not 2"),
+            ("illegal-replay", (5,), "illegal move B(2,1):{6,8}: chips not present (vertex holds [8])"),
+        ]
+
+    def test_closed_form_counts_are_built_once_per_shape(self):
+        before = _closed_form_counts.cache_info()
+        for seed in range(10):
+            for params in (StarParams(2, 3), StarParams(3, 2)):
+                _, log = stabilize_labeled(params, RandomUniform(seed))
+                assert verify_poset(log).passed
+        after = _closed_form_counts.cache_info()
+        assert after.misses - before.misses <= 2
+        assert after.hits - before.hits >= 18
+        assert _closed_form_counts(StarParams(2, 3)) is _closed_form_counts(StarParams(2, 3))
 
     def test_count_mismatch_reported_not_raised(self):
         params = StarParams(1, 1)
