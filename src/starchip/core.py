@@ -20,7 +20,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Outcome = tuple[tuple[int, ...], ...]
@@ -219,18 +219,13 @@ class LabeledConfig(_Config):
 
     def __init__(self, params: StarParams, chips: Mapping[Vertex, Iterable[int]]):
         clean: dict[Vertex, frozenset[int]] = {}
-        seen: set[int] = set()
-        total = 0
         for v, labels in chips.items():
             check_vertex(params, v)
             s = frozenset(labels)
-            if not s:
-                continue
-            total += len(s)
-            seen.update(s)
-            clean[v] = s
+            if s:
+                clean[v] = s
         n = params.n_chips
-        if total != n or len(seen) != n or not all(1 <= c <= n for c in seen):
+        if sorted(chain.from_iterable(clean.values())) != list(range(1, n + 1)):
             raise ValueError(f"labels must partition 1..{n} exactly")
         self.params = params
         self.chips = clean
@@ -264,7 +259,7 @@ def initial_unlabeled(params: StarParams, n: int) -> UnlabeledConfig:
     """n unlabeled chips on the center, nothing elsewhere."""
     if n < 0:
         raise ValueError(f"chip count must be >= 0, got {n}")
-    return UnlabeledConfig(params, {CENTER: n} if n else {})
+    return UnlabeledConfig(params, {CENTER: n})
 
 
 def is_stable(config: LabeledConfig | UnlabeledConfig) -> bool:
@@ -332,11 +327,7 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
     _check_fire(params, v, have, fired)
 
     new: dict[Vertex, frozenset[int]] = dict(config.chips)
-    remaining = have.difference(fired)
-    if remaining:
-        new[v] = remaining
-    else:
-        del new[v]
+    new[v] = have.difference(fired)
     for u, label in zip(_receivers(params.k, v), fired):
         new[u] = new.get(u, frozenset()) | {label}
     return LabeledConfig(params, new)

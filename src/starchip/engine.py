@@ -20,6 +20,7 @@ from math import comb
 from typing import Iterable, Iterator, Protocol
 
 from .core import (
+    CENTER,
     IllegalMoveError,
     LabeledConfig,
     Move,
@@ -39,7 +40,6 @@ from .core import (
     _receivers,
     _unpack,
     degree,
-    initial_unlabeled,
     parse_move,
 )
 from .rng import SplitMix64, derive_seed
@@ -70,21 +70,15 @@ def stabilize_unlabeled(params: StarParams, n: int) -> tuple[UnlabeledConfig, di
     Fires in center-outward sweeps, batching repeated fires of one vertex.
     By confluence the result and the counts are order-independent.
     """
-    config = initial_unlabeled(params, n)
-    counts = dict(config.counts)
+    counts = {CENTER: n}
     fires: Counter[Vertex] = Counter()
     while True:
-        ready = [v for v in sorted(counts) if counts[v] >= degree(params, v)]
+        ready = [(v, d) for v in sorted(counts) if counts[v] >= (d := degree(params, v))]
         if not ready:
             break
-        for v in ready:
-            d = degree(params, v)
+        for v, d in ready:  # only its own fire takes chips from v, so v still fires
             t = counts[v] // d
-            if t == 0:
-                continue
             counts[v] -= t * d
-            if counts[v] == 0:
-                del counts[v]
             fires[v] += t
             for u in _receivers(params.k, v):
                 counts[u] = counts.get(u, 0) + t

@@ -99,8 +99,11 @@ def _sweep(
     deg, routes, n = board.deg, board.routes, params.n_chips
     full = (1 << n) - 1
 
+    def labels_of(mask: int) -> tuple[int, ...]:
+        return tuple(c for c in range(1, n + 1) if mask >> c - 1 & 1)
+
     def state_of(key: int) -> _State:
-        return tuple(tuple(c for c in range(1, n + 1) if key >> (n * s + c - 1) & 1) for s in range(len(deg)))
+        return tuple(labels_of(key >> n * s & full) for s in range(len(deg)))
 
     steps_of: list[dict[int, list[int]]] = [{} for _ in deg]
     total, states = expected_total_fires(params), 1
@@ -121,7 +124,7 @@ def _sweep(
                     if steps is None:
                         steps = cache[here] = [
                             sum(((1 << n * u) - (1 << shift)) << (c - 1) for u, c in zip(routes[s], chips))
-                            for chips in combinations(state_of(here)[0], deg[s])  # the labels in mask here
+                            for chips in combinations(labels_of(here), deg[s])
                         ]
                     for step in steps:
                         known = children.get(child := key + step)

@@ -15,6 +15,11 @@ ever rejected and each draw advances the state exactly once. When the value
 drawn does not matter either, as in ``randrange(1)`` or a ``subset`` that
 takes the whole of a pool of one or two, the state is advanced and the mix
 is skipped: the stream goes on exactly as if the outputs had been computed.
+
+One output cannot cover a range n > 2^64. There each try of ``randrange``
+takes w outputs, w being the number of 64-bit words n - 1 needs, joins them
+into one number below 2^(64w), the first output highest, and rejects it at
+the largest multiple of n under 2^(64w). No smaller range takes that path.
 """
 from __future__ import annotations
 
@@ -58,6 +63,16 @@ class SplitMix64:
         if n == 1:
             self._state = (z + _GOLDEN) & _MASK64
             return 0
+        if n > _TWO64:  # join w outputs per try, the first one highest
+            w = ((n - 1).bit_length() + 63) // 64
+            span = 1 << 64 * w
+            limit = span - span % n
+            while True:
+                r = 0
+                for _ in range(w):
+                    r = r << 64 | self.next_u64()
+                if r < limit:
+                    return r % n
         limit = _TWO64 - _TWO64 % n
         while True:
             z = (z + _GOLDEN) & _MASK64

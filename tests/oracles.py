@@ -20,8 +20,11 @@ class ReferenceSplitMix64:
     """The splitmix64 stream with one mixed draw per loop: ``randrange``
     takes ``next_u64`` outputs until one lies below the largest multiple of
     n under 2^64, and ``subset`` pops one ``randrange`` draw at a time from
-    the sorted pool. It carries its own copy of the mix, so it shares no
-    code with :class:`starchip.rng.SplitMix64`."""
+    the sorted pool. A range past 2^64 takes the fewest outputs whose
+    2^(64·words) span covers it, the first as the most significant word,
+    and rejects at the largest multiple of n in that span. It carries its
+    own copy of the mix, so it shares no code with
+    :class:`starchip.rng.SplitMix64`."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
@@ -34,9 +37,14 @@ class ReferenceSplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
-        limit = (1 << 64) - ((1 << 64) % n)
+        words = 1
+        while 1 << 64 * words < n:
+            words += 1
+        span = 1 << 64 * words
+        limit = span - span % n
         while True:
-            r = self.next_u64()
+            outputs = [self.next_u64() for _ in range(words)]
+            r = sum(x << 64 * (words - 1 - i) for i, x in enumerate(outputs))
             if r < limit:
                 return r % n
 

@@ -57,6 +57,13 @@ class TestStabilize:
         assert code == 0  # every --verify check passed
         assert peak < 32 * 2**20
 
+    def test_volmin_draws_past_two_to_the_64(self, capsys):
+        # the first pick draws below C(75, 25) > 2^64, which one 64-bit
+        # output cannot cover; rejecting every such output never returned
+        code, out, _ = run_cli(capsys, ["stabilize", "--k", "25", "--m", "3", "--strategy", "volmin", "--verify"])
+        assert code == 0  # every --verify check passed
+        assert "fires: 106" in out
+
 
 class TestEnumerate:
     def test_text_table(self, capsys):
@@ -88,6 +95,14 @@ class TestEnumerate:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["total_sequences"] == "12"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "volmin"])
+def test_max_states_below_one_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, [command, "--k", "2", "--m", "2", "--max-states", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_states must be >= 1\n"
 
 
 class TestVolmin:
@@ -176,6 +191,15 @@ class TestMontecarlo:
         assert code == 0
         assert "sequence counts (not play probabilities):" in out
         assert "total | 12" in out
+
+    def test_with_enumeration_skips_shapes_past_the_cell_budget(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["montecarlo", "--k", "3", "--m", "3", "--trials", "5", "--seed", "0", "--with-enumeration"],
+        )
+        assert code == 0
+        assert out.endswith("\n\n(enumeration skipped: k*m > 8)\n")
+        assert "sequence counts" not in out
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_exit_2(self, capsys, trials):

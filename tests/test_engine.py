@@ -272,6 +272,36 @@ def test_a_broken_strategy_is_refused_within_the_game_length(fault):
     assert 0 < strategy.picks <= expected_total_fires(params)
 
 
+class _OverfiringStrategy:
+    """Fires k + 1 chips at the center first, then plays as Deterministic
+    does: the chip past the k-th has no branch to land on and is lost."""
+
+    def __init__(self):
+        self.picks = 0
+
+    def pick(self, board, state, fireable):
+        self.picks += 1
+        if self.picks == 1:
+            return 0, tuple(state[0][: board.params.k + 1])
+        return Deterministic().pick(board, state, fireable)
+
+
+@pytest.mark.parametrize("k, m, picks", [(2, 2, 1), (3, 3, 6)])
+def test_a_game_that_lost_a_chip_stops_when_nothing_can_fire(k, m, picks):
+    # short of a chip, the game runs out of fireable vertices before its
+    # full length, and the read-off refuses what is left
+    params = StarParams(k, m)
+    strategy = _OverfiringStrategy()
+    fired, start = (",".join(map(str, range(1, n + 1))) for n in (k + 1, k * m))
+    with pytest.raises(ShapeError) as err:
+        stabilize_labeled(params, strategy)
+    assert str(err.value).endswith(
+        f"; the strategy's first illegal fire was illegal move C:{{{fired}}} at step 1: "
+        f"must fire exactly {k} chips; state LabeledConfig(C:{{{start}}})"
+    )
+    assert strategy.picks == picks < expected_total_fires(params)
+
+
 class _SlicingStrategy:
     """Plays as Deterministic does, but returns its chips as a list slice
     of the live state rather than a tuple."""

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -76,6 +77,9 @@ def _seeds():
 
 def test_randrange_follows_the_reference_stream():
     ranges = list(range(1, 13)) + [1 << 32, 3 << 61, (1 << 63) + 1, _MASK64, 1 << 64]
+    # one 64-bit output cannot cover these; C(75, 25) is the first volmin
+    # draw of (25,3) and C(400, 20) that of (20,20)
+    ranges += [(1 << 64) + 1, 3 << 64, comb(75, 25), comb(400, 20)]
     for seed in _seeds():
         rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
         for n in ranges:
@@ -111,4 +115,11 @@ class TestRejectionPath:
     def test_subset_of_three_takes_four_draws(self):
         rng = SplitMix64(REJECTING_SEED)
         assert rng.subset([7, 5, 6], 3) == (5, 6, 7)
+        assert rng._state == (REJECTING_SEED + 4 * _GOLDEN) & _MASK64
+
+    def test_a_two_word_range_rejects_it_and_draws_again(self):
+        # 2^128 mod 3*2^64 = 2^64, so a try whose first (high) word is
+        # 2^64 - 1 is rejected, and the next try takes two more outputs
+        rng = SplitMix64(REJECTING_SEED)
+        assert rng.randrange(3 << 64) == ReferenceSplitMix64(REJECTING_SEED).randrange(3 << 64)
         assert rng._state == (REJECTING_SEED + 4 * _GOLDEN) & _MASK64
