@@ -337,8 +337,10 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
 # and the verifiers run on, from _Board.start to the matrix _outcome reads
 # off. It is indexed by vertex slot, slot 0 being the center and slot
 # 1 + (i-1)*m + (j-1) branch i, level j, and each slot holds its labels in
-# ascending order. The sweep keeps each state as a tuple of tuples. A game,
-# a replay or a verifier copies _Board.start into one list of lists and
+# ascending order. The sweep keeps each state as one int (see
+# enumeration._sweep) and decodes it into a tuple of tuples only for the
+# move filter, once per chip-count group, and for the final read-off. A
+# game, a replay or a verifier copies _Board.start into one list of lists and
 # fires in place on it (see _fire), so a fire touches only the fired slot
 # and its receivers; whoever reads that list while the game runs, a
 # strategy included, must not change it. Started from k*m chips on the

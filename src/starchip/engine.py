@@ -12,7 +12,7 @@ state is checked once, as ``core._outcome`` reads it off.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,9 +227,11 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
 
     The game holds one mutable packed state (see :mod:`starchip.core`), a
     copy of ``_Board.start``, and fires on it in place, unchecked. A fire
-    changes the chip counts of its slot and that slot's receivers alone, so
-    after each fire the list of fireable slots the strategy reads is brought
-    up to date at those slots only, in canonical vertex order. Every legal
+    at slot s takes chips from s alone and adds one chip to each receiver
+    it sends to, so the list of fireable slots the strategy reads, kept in
+    canonical vertex order, changes in two ways only: s leaves it when it
+    drops below its degree, and a receiver with routes joins it when its
+    new chip brings it exactly to its degree. Every legal
     game from that start makes exactly expected_total_fires fires, so the
     game stops after that many, or earlier if nothing can fire.
     ``core._outcome`` checks the final state once and raises ShapeError on
@@ -247,14 +249,11 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
         s, chips = strategy.pick(board, state, fireable)
         _fire(board, state, s, chips)
         moves.append(Move(vertex[s], tuple(chips)))
-        for t in (s, *routes[s]):
-            i = bisect_left(fireable, t)
-            listed = i < len(fireable) and fireable[i] == t
-            if routes[t] and len(state[t]) >= deg[t]:  # only slots with routes fire
-                if not listed:
-                    fireable.insert(i, t)
-            elif listed:
-                del fireable[i]
+        if len(state[s]) < deg[s] and s in fireable:  # a broken strategy may fire an unlisted slot
+            fireable.remove(s)
+        for u, _ in zip(routes[s], chips):
+            if len(state[u]) == deg[u] and routes[u]:  # only slots with routes fire
+                insort(fireable, u)
     try:
         return _outcome(board, state), SequenceLog(params, tuple(moves))
     except ShapeError as e:

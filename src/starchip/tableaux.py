@@ -96,8 +96,7 @@ def catalan(k: int) -> int:
 def count_rect_syt(k: int, m: int) -> int:
     """Number of standard fillings of a k x m rectangle, by the hook length
     formula: (km)! divided by the product of all hook lengths."""
-    if k < 1 or m < 1:
-        raise ValueError("need k >= 1 and m >= 1")
+    StarParams(k, m)  # refuses k < 1 or m < 1
     hooks = 1
     for i in range(k):
         for j in range(m):
@@ -111,8 +110,7 @@ def generate_syts(k: int, m: int) -> list[Tableau]:
     Fills values 1..km in increasing order; a value may extend any row that
     is still shorter than the row above it. Budgeted at k*m <= 12 cells.
     """
-    if k < 1 or m < 1:
-        raise ValueError("need k >= 1 and m >= 1")
+    StarParams(k, m)  # refuses k < 1 or m < 1
     if k * m > GENERATION_CELL_BUDGET:
         raise BudgetExceededError(
             f"k*m = {k * m} exceeds the generation cell budget of {GENERATION_CELL_BUDGET}"
@@ -185,8 +183,7 @@ def witness_sequence(t: Tableau) -> list[Move]:
 
 
 def _columns_strictly_increase(grid: tuple[tuple[int, ...], ...]) -> bool:
-    k = len(grid)
-    return all(grid[i][j] < grid[i + 1][j] for i in range(k - 1) for j in range(len(grid[0])))
+    return verify_branch_sorted(zip(*grid))
 
 
 def sort_rows(mat: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -214,47 +214,38 @@ def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
             detail = f"center fire at index {t} sent {len(log.moves[t].chips)} chips, not {params.k}"
             violations.append(Violation("center-fire-size", (t,), detail))
     endgame_fires = [t for t in center_fires[-params.m:] if len(log.moves[t].chips) == params.k]
-    previous: tuple[int, ...] | None = None
-    prev_t = None
-    for t in endgame_fires:
-        sent = log.moves[t].chips
-        if previous is not None:
-            for i in range(params.k):
-                if sent[i] > previous[i]:
-                    violations.append(
-                        Violation(
-                            "center-send-increased",
-                            (prev_t, t, i + 1),
-                            f"center fire at index {t} sent chip {sent[i]} to branch {i + 1}, "
-                            f"larger than {previous[i]} sent at index {prev_t}",
-                        )
+    for prev_t, t in zip(endgame_fires, endgame_fires[1:]):
+        previous, sent = log.moves[prev_t].chips, log.moves[t].chips
+        for i in range(params.k):
+            if sent[i] > previous[i]:
+                violations.append(
+                    Violation(
+                        "center-send-increased",
+                        (prev_t, t, i + 1),
+                        f"center fire at index {t} sent chip {sent[i]} to branch {i + 1}, "
+                        f"larger than {previous[i]} sent at index {prev_t}",
                     )
-                elif strict and sent[i] == previous[i]:
-                    violations.append(
-                        Violation(
-                            "center-send-repeated",
-                            (prev_t, t, i + 1),
-                            f"center fires at indices {prev_t} and {t} both sent chip "
-                            f"{sent[i]} to branch {i + 1}",
-                        )
+                )
+            elif strict and sent[i] == previous[i]:
+                violations.append(
+                    Violation(
+                        "center-send-repeated",
+                        (prev_t, t, i + 1),
+                        f"center fires at indices {prev_t} and {t} both sent chip "
+                        f"{sent[i]} to branch {i + 1}",
                     )
-        previous = sent
-        prev_t = t
+                )
     return _report(violations)
 
 
 def verify_branch_sorted(outcome: Outcome) -> bool:
     """True iff every branch reads strictly increasing from the center outward."""
-    return all(all(row[j] < row[j + 1] for j in range(len(row) - 1)) for row in outcome)
+    return all(all(a < b for a, b in zip(row, row[1:])) for row in outcome)
 
 
 def verify_rim_sorted(outcome: Outcome) -> bool:
     """True iff the innermost and outermost chips are sorted across branches."""
-    inner = [row[0] for row in outcome]
-    outer = [row[-1] for row in outcome]
-    return all(a < b for a, b in zip(inner, inner[1:])) and all(
-        a < b for a, b in zip(outer, outer[1:])
-    )
+    return verify_branch_sorted(([row[0] for row in outcome], [row[-1] for row in outcome]))
 
 
 def check_game(outcome: Outcome, log: SequenceLog) -> dict[str, bool]:

@@ -218,6 +218,31 @@ def naive_play(k: int, m: int, strategy: str, seed: int) -> list:
         cfg = _naive_apply(cfg, mv, k)
 
 
+def rrs_fillings(k: int, m: int) -> set:
+    """Every row-and-rim-sorted (RRS) filling of a k x m grid with the labels
+    1..k*m, as a tuple of rows: each row strictly increases, and so do the
+    first and the last column.
+
+    Rows increase and so does the first column, so the smallest label left
+    always starts the next row, and any m - 1 of the others complete it.
+    The fillings are built row set by row set on that rule, and the last
+    column is checked once every row is placed.
+    """
+    fillings = set()
+
+    def extend(rows: tuple, left: tuple) -> None:
+        if not left:
+            if all(upper[-1] < lower[-1] for upper, lower in zip(rows, rows[1:])):
+                fillings.add(rows)
+            return
+        first, rest = left[0], left[1:]
+        for tail in combinations(rest, m - 1):
+            extend(rows + ((first,) + tail,), tuple(c for c in rest if c not in tail))
+
+    extend((), tuple(range(1, k * m + 1)))
+    return fillings
+
+
 def random_column_sorted_grid(rows: int, cols: int, rng: SplitMix64) -> tuple:
     """A uniform random arrangement of 1..rows*cols into columns, each column
     then sorted, yielding a grid whose columns strictly increase."""

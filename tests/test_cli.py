@@ -174,6 +174,12 @@ class TestSyt:
         assert code == 0
         assert "5/5" in out
 
+    def test_bad_shape_is_refused_as_every_command_refuses_it(self, capsys):
+        code, out, err = run_cli(capsys, ["syt", "--k", "0", "--m", "3"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: need k >= 1 and m >= 1, got k=0, m=3\n"
+
 
 class TestMontecarlo:
     def test_text(self, capsys):

@@ -243,8 +243,10 @@ def test_unrank_lists_every_combination_in_order():
 
 
 class _BrokenStrategy:
-    """Fires the first fireable slot against the rules, counting its picks:
-    with one chip too few, or with labels no vertex holds."""
+    """Fires against the rules, counting its picks: the first fireable slot
+    with one chip too few or with labels no vertex holds, or one chip of the
+    first slot below level m that holds chips but cannot fire (the first
+    fireable slot's legal chips while no such slot exists)."""
 
     def __init__(self, fault):
         self.fault = fault
@@ -256,6 +258,11 @@ class _BrokenStrategy:
         deg = board.deg[s]
         if self.fault == "one chip too few":
             return s, state[s][: deg - 1]
+        if self.fault == "a slot that cannot fire":
+            held = [t for t in board.firing if state[t] and t not in fireable]
+            if held:
+                return held[0], tuple(state[held[0]][:1])
+            return s, tuple(state[s][:deg])
         n = board.params.n_chips
         return s, tuple(range(n + 1, n + 1 + deg))
 
@@ -360,12 +367,15 @@ def test_the_kept_fireable_list_equals_a_rescan(k, m):
         assert all(type(mv.chips) is tuple for mv in log)
 
 
-@pytest.mark.parametrize("fault", ["one chip too few", "labels it does not hold"])
+@pytest.mark.parametrize(
+    "fault", ["one chip too few", "labels it does not hold", "a slot that cannot fire", "k + 1 chips at the center"]
+)
 @pytest.mark.parametrize("k, m", [(2, 3), (3, 3), (10, 10)])
 def test_a_broken_fire_changes_only_its_slot_and_receivers(fault, k, m):
     # the kept list is updated at the fired slot and its receivers alone,
-    # which is right only if no fire, legal or not, changes another slot
-    spy = _Spy(_BrokenStrategy(fault))
+    # which is right only if no fire, legal or not, changes another slot;
+    # a fire at a slot that is not listed must leave the list as it is there
+    spy = _Spy(_OverfiringStrategy() if fault == "k + 1 chips at the center" else _BrokenStrategy(fault))
     with pytest.raises(ShapeError, match="first illegal fire"):
         stabilize_labeled(StarParams(k, m), spy)
     assert spy.picks > 0

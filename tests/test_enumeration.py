@@ -10,6 +10,7 @@ from starchip import (
     EnumerationResult,
     Move,
     StarParams,
+    Tableau,
     Vertex,
     apply_move,
     enumerate_all,
@@ -19,6 +20,7 @@ from starchip import (
     reachable_set,
     to_outcome,
     generate_syts,
+    is_row_and_rim_sorted,
     verify_branch_sorted,
     verify_rim_sorted,
 )
@@ -34,7 +36,13 @@ from starchip.core import (
     _volmin_fireable,
 )
 from starchip.enumeration import _sweep
-from oracles import naive_sequence_counts, naive_total_sequences, naive_volmin_moves, naive_volmin_outcomes
+from oracles import (
+    naive_sequence_counts,
+    naive_total_sequences,
+    naive_volmin_moves,
+    naive_volmin_outcomes,
+    rrs_fillings,
+)
 
 
 class TestEnumerateAll:
@@ -291,6 +299,38 @@ def test_sweep_filters_each_chip_count_vector_once():
 
         _sweep(StarParams(k, m), None, spy)
         assert len(seen) == len(set(seen)) == expected, (k, m, fire_slots.__name__)
+
+
+_CHAIN_SHAPES = [(k, m) for k in range(2, 10) for m in range(1, 9 // k + 1)]
+_CHAIN_COUNTS = {(2, 3): (5, 5, 5, 6), (2, 4): (14, 14, 16, 20), (3, 3): (42, 42, 47, 71)}
+
+
+@pytest.mark.parametrize("k, m", _CHAIN_SHAPES)
+def test_standard_image_volmin_reachable_and_row_and_rim_sorted_nest(k, m):
+    # The paper's sorting property: every reachable outcome is row-and-rim
+    # sorted (RRS), and volmin play reaches every standard filling. At (2,4)
+    # and (3,3) the inclusions past volmin are strict.
+    params = StarParams(k, m)
+    syt = {to_outcome(t) for t in generate_syts(k, m)}
+    volmin = enumerate_volmin(params)
+    reachable = reachable_set(params, max_states=1_000_000)
+    rrs = rrs_fillings(k, m)
+    assert syt <= volmin <= reachable <= rrs
+    if (k, m) in _CHAIN_COUNTS:
+        assert (len(syt), len(volmin), len(reachable), len(rrs)) == _CHAIN_COUNTS[k, m]
+
+
+def test_rrs_oracle_matches_the_two_by_four_brute_force():
+    # criterion 03's set: every split of 1..8 into two sorted rows of four,
+    # kept when the package calls it row-and-rim sorted
+    labels = set(range(1, 9))
+    brute = set()
+    for top in combinations(sorted(labels), 4):
+        t = Tableau((top, tuple(sorted(labels - set(top)))))
+        if is_row_and_rim_sorted(t):
+            brute.add(t.rows)
+    assert len(brute) == 20
+    assert rrs_fillings(2, 4) == brute
 
 
 class TestResultSerialization:

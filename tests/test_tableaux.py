@@ -110,6 +110,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             generate_syts(0, 3)
 
+    def test_shape_refusal_names_both_values(self):
+        with pytest.raises(ValueError, match=r"^need k >= 1 and m >= 1, got k=2, m=0$"):
+            count_rect_syt(2, 0)
+        with pytest.raises(ValueError, match=r"^need k >= 1 and m >= 1, got k=0, m=2$"):
+            generate_syts(0, 2)
+
 
 class TestWitnessSequences:
     def test_two_by_two_script(self):
