@@ -12,8 +12,8 @@ productive:
 * restricting play to "volatility-minimizing" fires (keep the number of
   ready vertices minimal, prefer vertices far from the center) reaches
   exactly the standard fillings on (2,2) to (2,6), (3,2), (3,3), (4,2),
-  (5,2), (6,2) and (4,3), where the exhaustive search and the standard
-  fillings were compared.
+  (5,2), (6,2), (7,2), (4,3) and (5,3), where the exhaustive search and
+  the standard fillings were compared: at (5,3), 6,006 of each.
 
 That last fact does not hold at (3,4): volatility-minimizing play reaches
 639 outcomes there, against 462 standard fillings. One game that shows it is

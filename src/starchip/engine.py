@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Protocol
 
@@ -87,34 +86,23 @@ def stabilize_unlabeled(params: StarParams, n: int) -> tuple[UnlabeledConfig, di
 
 @dataclass(frozen=True, eq=True)
 class SequenceLog:
-    """An ordered record of fires, normally a complete stabilization sequence.
-    Its fires are grouped by vertex once, on first use, into one index from
-    each fired vertex, in order of first fire, to the 0-based positions of
-    its fires; the two accessors read it and return fresh containers."""
+    """An ordered record of fires, normally a complete stabilization
+    sequence: the moves and nothing else. Its readers, the verifiers
+    included, read the moves once, front to back."""
 
     params: StarParams
     moves: tuple[Move, ...]
 
-    @cached_property
-    def _fires(self) -> dict[Vertex, list[int]]:
-        fires: dict[Vertex, list[int]] = {}
-        for t, mv in enumerate(self.moves):
-            fires.setdefault(mv.vertex, []).append(t)
-        return fires
-
     @property
     def per_vertex_fire_count(self) -> dict[Vertex, int]:
-        return {v: len(ts) for v, ts in self._fires.items()}
+        """How often each fired vertex fires, in order of first fire."""
+        return dict(Counter(mv.vertex for mv in self.moves))
 
     def __len__(self) -> int:
         return len(self.moves)
 
     def __iter__(self) -> Iterator[Move]:
         return iter(self.moves)
-
-    def positions_of(self, v: Vertex) -> list[int]:
-        """0-based indices of all fires of v, in time order."""
-        return list(self._fires.get(v, ()))
 
     def to_text(self) -> str:
         """One move per line: ``C:{1,2,3}`` or ``B(i,j):{a,b}``."""

@@ -79,7 +79,8 @@ def to_outcome(t: Tableau) -> Outcome:
     Defined only for standard tableaux. Every standard filling is a
     reachable outcome (see :func:`witness_sequence`), but not every
     reachable outcome is standard: (2,4) has 16 reachable outcomes and 14
-    standard fillings.
+    standard fillings. Volatility-minimizing play reaches exactly the
+    standard fillings on (5,3), all 6,006 of them, but not on (3,4).
     """
     if not t.is_standard:
         raise ValueError(f"tableau {t} is not standard")

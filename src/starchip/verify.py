@@ -17,6 +17,12 @@ A separate check watches what the center's endgame fires send outward: for a
 fixed branch, consecutive sends never increase. (They can repeat: a level-1
 vertex may bounce the same chip back to the center, which then returns it.)
 
+Each check reads a log once, front to back. By confluence every complete
+stabilization fires each vertex as often as the closed form says, so the
+count of a vertex's fires so far tells whether a fire is an endgame fire as
+it comes; only the endgame fires' indices are kept, and the order rules are
+checked on them once the log ends.
+
 Stable outcomes themselves are checked for the two sorting guarantees:
 rows sorted along each branch, and the innermost/outermost rings sorted
 across branches.
@@ -24,9 +30,10 @@ across branches.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     IllegalMoveError,
@@ -105,22 +112,50 @@ def _closed_form_counts(params: StarParams) -> dict[Vertex, int]:
     return {board.vertex[s]: expected_fire_count(params, board.vertex[s]) for s in board.firing}
 
 
-def _endgame_times(log: SequenceLog, board: _Board) -> list[Sequence[int]]:
-    """For each slot, the log indices of its endgame fires, last fire first:
-    entry f is the index of the slot's f-th fire from the end. Slots at
-    level m have none.
+def _endgame_walk(log: SequenceLog, board: _Board) -> tuple[list[list[int]], list[Violation]]:
+    """Read the log once, front to back, replaying it from ``_Board.start``.
+
+    The closed-form counts say in advance which fires are endgame fires: a
+    vertex's f-th fire from the end is the one that leaves f of its fires
+    to come. Returns, for each slot, the log indices of its endgame fires,
+    last fire first (entry f is the index of the slot's f-th fire from the
+    end; slots at level m have none), and the ``exact-degree-chips`` and
+    ``illegal-replay`` violations met on the way. The replay and the chip
+    check stop at the first refused fire; the counting and the times go on
+    to the end of the log.
 
     Raises LogInconsistencyError if the log's per-vertex fire counts do not
     match the closed-form counts of a complete stabilization."""
-    actual = log.per_vertex_fire_count
     wanted = _closed_form_counts(board.params)
-    if actual != wanted:
-        raise LogInconsistencyError(f"per-vertex fire counts {actual} disagree with the closed form {wanted}")
-    times: list[Sequence[int]] = [()] * len(board.vertex)
-    for s in board.firing:
-        n = board.params.m - board.level[s]
-        times[s] = log.positions_of(board.vertex[s])[-n:][::-1]
-    return times
+    times = [[-1] * (board.params.m - level) for level in board.level]
+    counts: dict[Vertex, int] = {}
+    violations: list[Violation] = []
+    state: list[list[int]] | None = [list(labels) for labels in board.start]
+    for t, mv in enumerate(log.moves):
+        v = mv.vertex
+        counts[v] = counts.get(v, 0) + 1
+        s = board.slot.get(v)
+        f = wanted.get(v, 0) - counts[v]  # how many fires of v are still to come
+        if s is not None and 0 <= f < len(times[s]):
+            times[s][f] = t
+            if state is not None and len(state[s]) != board.deg[s]:
+                violations.append(
+                    Violation(
+                        "exact-degree-chips",
+                        (FireRef(v, f),),
+                        f"endgame fire {v}^{f} at index {t} ran with "
+                        f"{len(state[s])} chips present, not {board.deg[s]}",
+                    )
+                )
+        if state is not None:
+            try:
+                _fire_checked(board, state, mv)
+            except IllegalMoveError as e:
+                violations.append(Violation("illegal-replay", (t,), str(e)))
+                state = None
+    if counts != wanted:
+        raise LogInconsistencyError(f"per-vertex fire counts {counts} disagree with the closed form {wanted}")
+    return times, violations
 
 
 def endgame_positions(log: SequenceLog) -> dict[FireRef, int]:
@@ -130,7 +165,7 @@ def endgame_positions(log: SequenceLog) -> dict[FireRef, int]:
     match the closed-form counts of a complete stabilization.
     """
     board = _board(log.params)
-    times = _endgame_times(log, board)
+    times, _ = _endgame_walk(log, board)
     return {FireRef(board.vertex[s], f): t for s in board.firing for f, t in enumerate(times[s])}
 
 
@@ -138,11 +173,12 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
     """Check the endgame-fire ordering and exact-chip conditions on one log.
 
     All findings are reported, none raised: a log that cannot even be
-    replayed yields an ``illegal-replay`` violation.
+    replayed yields an ``illegal-replay`` violation. The order rules come
+    first, then what the replay found, in log order.
     """
     board = _board(log.params)
     try:
-        times = _endgame_times(log, board)
+        times, replayed = _endgame_walk(log, board)
     except LogInconsistencyError as e:
         return _report([Violation("fire-count-mismatch", (), str(e))])
     violations: list[Violation] = []
@@ -171,29 +207,7 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
                 inner, outer = receivers
                 require_before(inner, f + 1, s, f, "inner-refire-precedes")
                 require_before(outer, f, s, f, "outer-precedes")
-
-    endgame_at = {t: f for ts in times for f, t in enumerate(ts)}
-    state = [list(labels) for labels in board.start]
-    for t, mv in enumerate(log.moves):
-        f = endgame_at.get(t)
-        if f is not None:
-            # the fire counts matched, so every fired vertex has a slot
-            s = board.slot[mv.vertex]
-            if len(state[s]) != board.deg[s]:
-                violations.append(
-                    Violation(
-                        "exact-degree-chips",
-                        (FireRef(mv.vertex, f),),
-                        f"endgame fire {mv.vertex}^{f} at index {t} ran with "
-                        f"{len(state[s])} chips present, not {board.deg[s]}",
-                    )
-                )
-        try:
-            _fire_checked(board, state, mv)
-        except IllegalMoveError as e:
-            violations.append(Violation("illegal-replay", (t,), str(e)))
-            break
-    return _report(violations)
+    return _report(violations + replayed)
 
 
 def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
@@ -206,17 +220,18 @@ def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
     A center fire of other than k chips is reported and left out of the
     comparison.
     """
-    params = log.params
+    k = log.params.k
     violations: list[Violation] = []
-    center_fires = log.positions_of(CENTER)
-    for t in center_fires:
-        if len(log.moves[t].chips) != params.k:
-            detail = f"center fire at index {t} sent {len(log.moves[t].chips)} chips, not {params.k}"
-            violations.append(Violation("center-fire-size", (t,), detail))
-    endgame_fires = [t for t in center_fires[-params.m:] if len(log.moves[t].chips) == params.k]
-    for prev_t, t in zip(endgame_fires, endgame_fires[1:]):
-        previous, sent = log.moves[prev_t].chips, log.moves[t].chips
-        for i in range(params.k):
+    last = deque(maxlen=log.params.m)  # (index, chips) of the center's last m fires
+    for t, mv in enumerate(log.moves):
+        if mv.vertex == CENTER:
+            if len(mv.chips) != k:
+                detail = f"center fire at index {t} sent {len(mv.chips)} chips, not {k}"
+                violations.append(Violation("center-fire-size", (t,), detail))
+            last.append((t, mv.chips))
+    endgame = [(t, chips) for t, chips in last if len(chips) == k]
+    for (prev_t, previous), (t, sent) in zip(endgame, endgame[1:]):
+        for i in range(k):
             if sent[i] > previous[i]:
                 violations.append(
                     Violation(

@@ -135,15 +135,21 @@ class TestVolmin:
         assert code == 2
         assert "max_states = 10 at depth 1 of 8" in err and out == ""
 
-    def test_generation_budget_checked_before_the_search(self, capsys):
-        # the (5,3) sweep would take seconds and hundreds of MB before the
-        # tableau image was found to be out of budget
+    def test_runs_past_the_generation_budget(self, capsys):
+        # 14 cells: the match is decided by the SYT count, with no tableau
+        # generated, so the generation cell budget of 12 does not apply
+        code, out, _ = run_cli(capsys, ["volmin", "--k", "7", "--m", "2", "--max-states", "100000"])
+        assert code == 0
+        assert "count: 429" in out
+        assert "matches the standard-tableau image: yes" in out
+
+    def test_state_budget_refuses_fifteen_cells_at_once(self, capsys):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, ["volmin", "--k", "5", "--m", "3", "--max-states", "20000000"])
+        code, out, err = run_cli(capsys, ["volmin", "--k", "5", "--m", "3", "--max-states", "10"])
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert "k*m = 15 exceeds the generation cell budget of 12" in err
+        assert "max_states = 10 at depth 1 of 26" in err
 
 
 class TestSyt:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,8 @@ from starchip import (
     verify_rim_sorted,
 )
 from starchip.verify import FireRef, VerifierReport, Violation, _closed_form_counts, check_game
+
+from oracles import ReferenceSplitMix64
 
 
 def det_log(k: int, m: int) -> SequenceLog:
@@ -63,7 +66,7 @@ class TestEndgamePositions:
     def test_center_endgame_is_last_two_of_three(self):
         log = det_log(2, 2)
         positions = endgame_positions(log)
-        center_fires = log.positions_of(CENTER)
+        center_fires = [t for t, mv in enumerate(log.moves) if mv.vertex == CENTER]
         assert len(center_fires) == 3
         assert positions[FireRef(CENTER, 0)] == center_fires[-1]
         assert positions[FireRef(CENTER, 1)] == center_fires[-2]
@@ -235,3 +238,90 @@ class TestReportSerialization:
     def test_passing_report_json(self):
         report = verify_poset(det_log(2, 2))
         assert json.loads(report.to_json()) == {"passed": True, "violations": []}
+
+
+class _OnePass(tuple):
+    """Moves that may be iterated once and never indexed."""
+
+    read = False
+
+    def __iter__(self):
+        if self.read:
+            raise AssertionError("the moves were read a second time")
+        self.read = True
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        raise AssertionError(f"the moves were indexed at {i!r}")
+
+
+@pytest.mark.parametrize("reader", [verify_poset, verify_mixing, endgame_positions])
+@pytest.mark.parametrize("name", ["det", "random", "volmin", "forged"])
+def test_each_reader_reads_the_moves_once(reader, name):
+    params = StarParams(3, 3)
+    if name == "forged":
+        log = SequenceLog.from_text(params, FORGED_3X3.replace(" ", "\n"))
+    else:
+        _, log = stabilize_labeled(params, make_strategy(name, seed=5))
+    expected = reader(log)
+    assert reader(SequenceLog(params, _OnePass(log.moves))) == expected
+
+
+def _mutate(moves: tuple, kind: str, rng: ReferenceSplitMix64, n_chips: int) -> tuple:
+    """One forgery of an engine log: two fires swapped (adjacent or not), a
+    window of up to six fires shuffled, the log cut short, one fired chip
+    relabeled or dropped, or one fire played twice."""
+    moves = list(moves)
+    n = len(moves)
+    if kind in ("swap-adjacent", "swap"):
+        i = rng.randrange(n - 1)
+        j = i + 1 if kind == "swap-adjacent" else rng.randrange(n)
+        moves[i], moves[j] = moves[j], moves[i]
+    elif kind == "shuffle":
+        i = rng.randrange(n - 1)
+        window = moves[i : i + 6]
+        moves[i : i + 6] = [window.pop(rng.randrange(len(window))) for _ in range(len(window))]
+    elif kind == "truncate":
+        del moves[rng.randrange(n) :]
+    elif kind == "relabel":
+        i = rng.randrange(n)
+        chips = list(moves[i].chips)
+        chips[rng.randrange(len(chips))] = 1 + rng.randrange(n_chips)
+        moves[i] = Move(moves[i].vertex, tuple(sorted(chips)))
+    elif kind == "drop-chip":
+        i = rng.randrange(n)
+        chips = list(moves[i].chips)
+        del chips[rng.randrange(len(chips))]
+        moves[i] = Move(moves[i].vertex, tuple(chips))
+    else:  # duplicate
+        i = rng.randrange(n)
+        moves.insert(i, moves[i])
+    return tuple(moves)
+
+
+_MUTATIONS = ("swap-adjacent", "swap", "shuffle", "truncate", "relabel", "drop-chip", "duplicate")
+
+
+class TestForgedLogVerdicts:
+    # Every shape with m >= 2 and k*m <= 9, played under each strategy, and
+    # each game forged seven ways: 336 logs. The digest pins every violation
+    # list verify_poset and verify_mixing (both modes) give on them, in
+    # content and order.
+    SHAPES = [(k, m) for k in range(1, 10) for m in range(2, 10) if k * m <= 9]
+    DIGEST = "1758711bd5281eb4cb155acb55afd66051c255c12902cca90ee327d7c7431424"
+
+    def test_violation_lists_are_pinned(self):
+        reports = []
+        rng = ReferenceSplitMix64(2024)
+        for k, m in self.SHAPES:
+            params = StarParams(k, m)
+            for name in ("det", "random", "volmin"):
+                _, game = stabilize_labeled(params, make_strategy(name, seed=k * 10 + m))
+                logs = [game.moves] + [_mutate(game.moves, kind, rng, params.n_chips) for kind in _MUTATIONS]
+                for moves in logs:
+                    log = SequenceLog(params, moves)
+                    for report in (verify_poset(log), verify_mixing(log), verify_mixing(log, strict=True)):
+                        reports.append([[v.rule, v.subject, v.detail] for v in report.violations])
+        assert len(reports) == 3 * 8 * 3 * len(self.SHAPES) == 1008
+        assert sum(map(bool, reports)) == 602
+        assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == self.DIGEST
