@@ -344,12 +344,20 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
 # fires in place on it (see _fire), so a fire touches only the fired slot
 # and its receivers; whoever reads that list while the game runs, a
 # strategy included, must not change it. Started from k*m chips on the
-# center, level m never fires (see engine.expected_fire_count), so no chip
-# passes it and the slots cover every reachable state. LabeledConfig is the
+# center, level m never fires (see _fire_count), so no chip passes it and
+# the slots cover every reachable state. LabeledConfig is the
 # checked public form; _pack and _unpack convert at the edges. Every reader
 # here only indexes slots and takes their length, so it reads either form.
 
 _State = Sequence[Sequence[int]]
+
+
+def _fire_count(m: int, level: int) -> int:
+    """The closed form: from k*m chips on the center, every stabilization
+    fires a level-j vertex (the center: j = 0) (m-j)(m-j+1)/2 times for j < m
+    and never otherwise."""
+    d = max(m - level, 0)
+    return d * (d + 1) // 2
 
 
 class _Board(NamedTuple):
@@ -365,6 +373,9 @@ class _Board(NamedTuple):
     """Receiving slots of each slot, as :func:`_receivers` orders them; empty at level m."""
     firing: tuple[int, ...]
     """The slots below level m, the only ones that ever fire."""
+    fires: dict[Vertex, int]
+    """How often each vertex of ``firing`` fires in every game, by
+    :func:`_fire_count`, in slot order."""
     start: _State
     """The labeled game's start: every label on the center."""
 
@@ -383,6 +394,7 @@ def _board(params: StarParams) -> _Board:
         level=tuple(v.level for v in vertex),
         routes=routes,
         firing=tuple(s for s, r in enumerate(routes) if r),
+        fires={v: _fire_count(m, v.level) for v in vertex if v.level < m},
         start=(tuple(range(1, params.n_chips + 1)),) + ((),) * (k * m),
     )
 

@@ -34,6 +34,7 @@ from .core import (
     _calmest,
     _fire,
     _fire_checked,
+    _fire_count,
     _fireable,
     _outcome,
     _receivers,
@@ -50,11 +51,7 @@ def expected_fire_count(params: StarParams, v: Vertex) -> int:
     Level j (center: j = 0) fires (m-j)(m-j+1)/2 times for j < m and never
     otherwise, in every stabilization sequence.
     """
-    j = v.level
-    if j > params.m - 1:
-        return 0
-    d = params.m - j
-    return d * (d + 1) // 2
+    return _fire_count(params.m, v.level)
 
 
 def expected_total_fires(params: StarParams) -> int:

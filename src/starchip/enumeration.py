@@ -49,9 +49,6 @@ class EnumerationResult:
     """Sequence count of each reachable outcome, in no specified order."""
     total_sequences: int
 
-    def outcomes(self) -> set[Outcome]:
-        return set(self.per_outcome)
-
     def sorted_items(self) -> list[tuple[Outcome, int]]:
         """Rows ordered by ascending count, then lexicographically."""
         return sorted(self.per_outcome.items(), key=lambda kv: (kv[1], kv[0]))
@@ -159,8 +156,7 @@ def enumerate_all(params: StarParams, max_states: int | None = None) -> Enumerat
 
 def reachable_set(params: StarParams, max_states: int | None = None) -> set[Outcome]:
     """All stable outcomes reachable from the all-on-center start."""
-    _check_budget(params, max_states, DEFAULT_CELL_BUDGET)
-    return set(_sweep(params, max_states, _fireable))
+    return set(enumerate_all(params, max_states).per_outcome)
 
 
 def enumerate_volmin(params: StarParams, max_states: int | None = None) -> set[Outcome]:

@@ -9,6 +9,7 @@ explicit firing script built here (:func:`witness_sequence`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,10 +95,31 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
+def _syt_digits(k: int, m: int) -> int:
+    """Decimal digits of :func:`count_rect_syt`, estimated in floating point
+    from log (km)! less the sum of the log hook lengths. Counted from the
+    bottom, row i's hooks are i, .., i+m-1, so its log sum is
+    lgamma(i+m) - lgamma(i); transposing keeps the hooks, so the sum runs
+    over the shorter side."""
+    a, b = sorted((k, m))
+    log_hooks = sum(math.lgamma(i + b) - math.lgamma(i) for i in range(1, a + 1))
+    return math.floor((math.lgamma(k * m + 1) - log_hooks) / math.log(10)) + 1
+
+
 def count_rect_syt(k: int, m: int) -> int:
     """Number of standard fillings of a k x m rectangle, by the hook length
-    formula: (km)! divided by the product of all hook lengths."""
+    formula: (km)! divided by the product of all hook lengths.
+
+    Raises BudgetExceededError, before any big product, for a count with
+    more decimal digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits``; a limit of 0 means none)."""
     StarParams(k, m)  # refuses k < 1 or m < 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (digits := _syt_digits(k, m)) > limit:
+        raise BudgetExceededError(
+            f"the count of standard {k} x {m} tableaux has about {digits} decimal digits, "
+            f"more than the interpreter's limit of {limit} for printing an integer"
+        )
     hooks = 1
     for i in range(k):
         for j in range(m):

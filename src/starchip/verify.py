@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .core import (
@@ -46,7 +45,7 @@ from .core import (
     _board,
     _fire_checked,
 )
-from .engine import SequenceLog, expected_fire_count, expected_total_fires
+from .engine import SequenceLog, expected_total_fires
 
 
 class FireRef(NamedTuple):
@@ -69,13 +68,7 @@ class VerifierReport:
     violations: tuple[Violation, ...] = field(default_factory=tuple)
 
     def to_json(self) -> str:
-        doc = {
-            "passed": self.passed,
-            "violations": [
-                {"rule": v.rule, "subject": v.subject, "detail": v.detail} for v in self.violations
-            ],
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "VerifierReport":
@@ -103,15 +96,6 @@ def endgame_refs(params: StarParams) -> list[FireRef]:
     return [FireRef(board.vertex[s], f) for s in board.firing for f in range(params.m - board.level[s])]
 
 
-@lru_cache(maxsize=None)
-def _closed_form_counts(params: StarParams) -> dict[Vertex, int]:
-    """How often each vertex below level m fires in every complete
-    stabilization, in slot order. Built once per shape, as ``core._board``
-    is, and never changed."""
-    board = _board(params)
-    return {board.vertex[s]: expected_fire_count(params, board.vertex[s]) for s in board.firing}
-
-
 def _endgame_walk(log: SequenceLog, board: _Board) -> tuple[list[list[int]], list[Violation]]:
     """Read the log once, front to back, replaying it from ``_Board.start``.
 
@@ -126,7 +110,7 @@ def _endgame_walk(log: SequenceLog, board: _Board) -> tuple[list[list[int]], lis
 
     Raises LogInconsistencyError if the log's per-vertex fire counts do not
     match the closed-form counts of a complete stabilization."""
-    wanted = _closed_form_counts(board.params)
+    wanted = board.fires
     times = [[-1] * (board.params.m - level) for level in board.level]
     counts: dict[Vertex, int] = {}
     violations: list[Violation] = []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 import tracemalloc
 
@@ -185,6 +186,43 @@ class TestSyt:
         assert code == 2
         assert out == ""
         assert err == "error: need k >= 1 and m >= 1, got k=0, m=3\n"
+
+    @pytest.fixture
+    def int_digits_limit(self):
+        """Sets the interpreter's int-to-text digit limit to its default,
+        4,300, for one test."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-to-text digit limit")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("k,m,digits", [(60, 60, 5018), (20, 200, 4874), (1000, 1000, 2615091)])
+    def test_count_too_long_to_print_is_refused_at_once(self, capsys, int_digits_limit, k, m, digits):
+        # (k*m)! alone takes minutes for (1000,1000): the refusal must come first.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["syt", "--k", str(k), "--m", str(m)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert f"{k} x {m}" in err and f"about {digits} decimal digits" in err
+        assert f"limit of {int_digits_limit}" in err
+
+    def test_no_digit_limit_means_no_refusal(self, capsys, int_digits_limit):
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run_cli(capsys, ["syt", "--k", "60", "--m", "60"])
+        assert code == 0
+        assert len(out) == len("standard tableaux of shape 60 x 60: ") + 5018 + 1
+
+    def test_longest_printable_count_is_unchanged(self, capsys, int_digits_limit):
+        # 4,103 digits, below the limit of 4,300.
+        code, out, _ = run_cli(capsys, ["syt", "--k", "55", "--m", "55"])
+        assert code == 0
+        assert len(out) == len("standard tableaux of shape 55 x 55: ") + 4103 + 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "eafc30754306834cba94a642c292ce7e53902965ab5adc3bf7493aeeca862a4d"
+        )
 
 
 class TestMontecarlo:

@@ -27,7 +27,7 @@ from starchip import (
     stabilize_unlabeled,
     verify_poset,
 )
-from starchip.core import _fireable, totally_sorted_outcome
+from starchip.core import _board, _fireable, totally_sorted_outcome
 from starchip.engine import _unrank
 from starchip.tableaux import Tableau, _WitnessScript
 from starchip.verify import check_game
@@ -76,6 +76,8 @@ class TestUnlabeledStabilization:
         for j in range(m):
             v = CENTER if j == 0 else Vertex(1, j)
             assert fires.get(v, 0) == (m - j) * (m - j + 1) // 2
+        assert _board(params).fires == fires
+        assert sum(_board(params).fires.values()) == expected_total_fires(params)
 
     def test_negative_pile_rejected(self):
         with pytest.raises(ValueError):

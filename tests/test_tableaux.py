@@ -18,6 +18,7 @@ from starchip import (
     to_outcome,
     witness_sequence,
 )
+from starchip.tableaux import _syt_digits
 
 
 class TestTableauBasics:
@@ -96,6 +97,11 @@ class TestCounting:
         assert count_rect_syt(9, 1) == 1
         for k in range(1, 7):
             assert count_rect_syt(k, 2) == catalan(k)
+
+    def test_digit_estimate_matches_the_count(self):
+        for k in range(1, 31):
+            for m in range(k, 31):
+                assert _syt_digits(k, m) == _syt_digits(m, k) == len(str(count_rect_syt(k, m)))
 
     def test_generation_deterministic_and_standard(self):
         first = generate_syts(2, 3)

@@ -21,7 +21,8 @@ from starchip import (
     verify_poset,
     verify_rim_sorted,
 )
-from starchip.verify import FireRef, VerifierReport, Violation, _closed_form_counts, check_game
+from starchip.core import _board
+from starchip.verify import FireRef, VerifierReport, Violation, check_game
 
 from oracles import ReferenceSplitMix64
 
@@ -130,15 +131,16 @@ class TestVerifyPoset:
         ]
 
     def test_closed_form_counts_are_built_once_per_shape(self):
-        before = _closed_form_counts.cache_info()
+        before = _board.cache_info()
         for seed in range(10):
             for params in (StarParams(2, 3), StarParams(3, 2)):
                 _, log = stabilize_labeled(params, RandomUniform(seed))
                 assert verify_poset(log).passed
-        after = _closed_form_counts.cache_info()
+        after = _board.cache_info()
         assert after.misses - before.misses <= 2
         assert after.hits - before.hits >= 18
-        assert _closed_form_counts(StarParams(2, 3)) is _closed_form_counts(StarParams(2, 3))
+        p = StarParams(2, 3)
+        assert _board(p).fires is _board(p).fires
 
     def test_count_mismatch_reported_not_raised(self):
         params = StarParams(1, 1)
@@ -306,9 +308,10 @@ class TestForgedLogVerdicts:
     # Every shape with m >= 2 and k*m <= 9, played under each strategy, and
     # each game forged seven ways: 336 logs. The digest pins every violation
     # list verify_poset and verify_mixing (both modes) give on them, in
-    # content and order.
+    # content and order; JSON_DIGEST pins the same reports' to_json() text.
     SHAPES = [(k, m) for k in range(1, 10) for m in range(2, 10) if k * m <= 9]
     DIGEST = "1758711bd5281eb4cb155acb55afd66051c255c12902cca90ee327d7c7431424"
+    JSON_DIGEST = "4dc3acca9fca46c4278d89222c4d86270d5c523aef78b3fb839e0542a3bf5d6a"
 
     def test_violation_lists_are_pinned(self):
         reports = []
@@ -325,3 +328,18 @@ class TestForgedLogVerdicts:
         assert len(reports) == 3 * 8 * 3 * len(self.SHAPES) == 1008
         assert sum(map(bool, reports)) == 602
         assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == self.DIGEST
+
+    def test_report_json_is_pinned(self):
+        reports = []
+        rng = ReferenceSplitMix64(2024)
+        for k, m in self.SHAPES:
+            params = StarParams(k, m)
+            for name in ("det", "random", "volmin"):
+                _, game = stabilize_labeled(params, make_strategy(name, seed=k * 10 + m))
+                logs = [game.moves] + [_mutate(game.moves, kind, rng, params.n_chips) for kind in _MUTATIONS]
+                for moves in logs:
+                    log = SequenceLog(params, moves)
+                    reports += (verify_poset(log), verify_mixing(log), verify_mixing(log, strict=True))
+        assert len(reports) == 1008
+        texts = "\n".join(report.to_json() for report in reports)
+        assert hashlib.sha256(texts.encode()).hexdigest() == self.JSON_DIGEST
