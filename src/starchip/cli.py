@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 
 from .core import ChipGameError, StarParams, outcome_to_text
-from .engine import _STRATEGY_NAMES, make_strategy, random_games, replay, stabilize_labeled
+from .engine import _STRATEGY_NAMES, fork_trials, make_strategy, random_games, replay, stabilize_labeled
 from .enumeration import DEFAULT_CELL_BUDGET, enumerate_all, enumerate_volmin, reachable_set
 from .reports import emit_table, run_montecarlo, write_atomic
 from .tableaux import count_rect_syt, from_outcome, generate_syts, to_outcome, witness_sequence
@@ -136,6 +136,24 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_range(params: StarParams, part: range, seed: int) -> tuple:
+    """Play and check the trials in ``part``: the failures per check, the
+    distinct per-vertex fire counts, the distinct outcomes, and the first
+    failing trial as (trial, trial seed, failed checks), or None."""
+    failures: Counter[str] = Counter()
+    fire_counts = set()
+    outcomes = set()
+    first = None
+    for i, (trial_seed, outcome, log) in zip(part, random_games(params, part, seed)):
+        outcomes.add(outcome)
+        fire_counts.add(tuple((*v, fires) for v, fires in sorted(log.per_vertex_fire_count.items())))
+        failed = [name for name, ok in check_game(outcome, log).items() if not ok]
+        if failed and first is None:
+            first = (i, trial_seed, failed)
+        failures.update(failed)
+    return dict(failures), fire_counts, outcomes, first
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
     if args.samples < 1:
@@ -143,17 +161,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures: Counter[str] = Counter()
     fire_counts: set[tuple] = set()
     outcomes = set()
-    for i, (trial_seed, outcome, log) in enumerate(random_games(params, args.samples, args.seed)):
-        outcomes.add(outcome)
-        fire_counts.add(tuple(sorted(log.per_vertex_fire_count.items())))
-        failed = [name for name, ok in check_game(outcome, log).items() if not ok]
-        if failed and not failures:
-            sys.stderr.write(
-                f"trial {i} (seed {trial_seed}) failed {', '.join(failed)}; reproduce with: "
-                f"starchip stabilize --k {params.k} --m {params.m} --strategy random "
-                f"--seed {trial_seed} --verify\n"
-            )
-        failures.update(failed)
+    first = None
+    summaries = fork_trials(params, args.samples, lambda part: _verify_range(params, part, args.seed))
+    for fails, counts, seen, bad in summaries:
+        failures.update(fails)
+        fire_counts |= counts
+        outcomes |= seen
+        first = first or bad
+    if first is not None:
+        i, trial_seed, failed = first
+        sys.stderr.write(
+            f"trial {i} (seed {trial_seed}) failed {', '.join(failed)}; reproduce with: "
+            f"starchip stabilize --k {params.k} --m {params.m} --strategy random "
+            f"--seed {trial_seed} --verify\n"
+        )
     lines = [
         f"verified {args.samples} random stabilizations of k={params.k}, m={params.m} (seed={args.seed})",
         f"endgame order check failures: {failures['poset']}",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Outcome, StarParams, is_totally_sorted, outcome_to_text
-from .engine import random_games
+from .engine import fork_trials, random_games
 from .enumeration import EnumerationResult
 from .tableaux import from_outcome
 
@@ -99,11 +99,18 @@ class FrequencyReport:
 
 def run_montecarlo(params: StarParams, trials: int, seed: int) -> FrequencyReport:
     """Tally outcomes of ``trials`` independent random-play stabilizations,
-    played by :func:`starchip.engine.random_games`, so the report depends
-    only on (params, trials, seed)."""
+    played by :func:`starchip.engine.random_games` in consecutive ranges of
+    trials on every usable CPU (:func:`starchip.engine.fork_trials`), so the
+    report depends only on (params, trials, seed)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tally = Counter(outcome for _, outcome, _ in random_games(params, trials, seed))
+
+    def tally_range(part: range) -> dict[Outcome, int]:
+        return dict(Counter(outcome for _, outcome, _ in random_games(params, part, seed)))
+
+    tally: Counter[Outcome] = Counter()
+    for part in fork_trials(params, trials, tally_range):
+        tally.update(part)
     per_outcome = {
         o: OutcomeStats(hits, from_outcome(o).is_standard, is_totally_sorted(o))
         for o, hits in tally.items()

@@ -108,12 +108,15 @@ def _syt_digits(k: int, m: int) -> int:
 
 def count_rect_syt(k: int, m: int) -> int:
     """Number of standard fillings of a k x m rectangle, by the hook length
-    formula: (km)! divided by the product of all hook lengths.
+    formula: (km)! divided by the product of all hook lengths. A single
+    row or column has one filling, returned before any product.
 
     Raises BudgetExceededError, before any big product, for a count with
     more decimal digits than the interpreter converts to text
     (``sys.get_int_max_str_digits``; a limit of 0 means none)."""
     StarParams(k, m)  # refuses k < 1 or m < 1
+    if k == 1 or m == 1:
+        return 1
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and (digits := _syt_digits(k, m)) > limit:
         raise BudgetExceededError(

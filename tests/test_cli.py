@@ -1,15 +1,18 @@
 import hashlib
 import json
+import os
 import sys
+import threading
 import time
 import tracemalloc
 
 import pytest
 
+import starchip.cli
 import starchip.verify
-from starchip import StarParams, derive_seed
+from starchip import StarParams, derive_seed, engine
 from starchip.cli import main
-from starchip.engine import random_games
+from starchip.engine import fork_trials, random_games
 from starchip.verify import VerifierReport
 
 
@@ -215,6 +218,15 @@ class TestSyt:
         assert code == 0
         assert len(out) == len("standard tableaux of shape 60 x 60: ") + 5018 + 1
 
+    @pytest.mark.parametrize("k,m", [(2_000_000, 1), (1, 2_000_000)])
+    def test_a_single_row_or_column_is_counted_at_once(self, capsys, k, m):
+        # (km)! alone took more than 20 s for (2000000,1), whose count is 1.
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["syt", "--k", str(k), "--m", str(m)])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == f"standard tableaux of shape {k} x {m}: 1\n"
+
     def test_longest_printable_count_is_unchanged(self, capsys, int_digits_limit):
         # 4,103 digits, below the limit of 4,300.
         code, out, _ = run_cli(capsys, ["syt", "--k", "55", "--m", "55"])
@@ -286,7 +298,7 @@ class TestVerifyCommand:
             return VerifierReport(False) if log.moves[-1].chips == (1, 2) else real(log)
 
         monkeypatch.setattr(starchip.verify, "verify_mixing", broken)
-        games = random_games(StarParams(2, 2), 20, 4)
+        games = random_games(StarParams(2, 2), range(20), 4)
         failing = [i for i, (_, _, log) in enumerate(games) if not broken(log).passed]
         assert 0 < failing[0] and len(failing) < 20
         code, out, err = run_cli(capsys, argv)
@@ -404,3 +416,166 @@ def test_seeded_output_matches_its_golden_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcessCount:
+    """Seeded trials split over 1, 2 or 3 processes, or run where os.fork is
+    missing, give the same bytes: trial i depends only on (params, seed, i)."""
+
+    @pytest.fixture(params=[1, 2, 3, None], ids=["1", "2", "3", "no-fork"])
+    def split(self, request, monkeypatch):
+        """Plays every run of the test on request.param processes (None: no
+        os.fork), with no floor on the work per process; yields that number
+        of processes and the list of forks made."""
+        made = []
+        monkeypatch.setattr(engine, "FORK_MIN_FIRES", 1)
+        if request.param is None:
+            monkeypatch.delattr(os, "fork")
+        else:
+            real_fork = os.fork
+
+            def counting_fork():
+                made.append(1)
+                return real_fork()
+
+            monkeypatch.setattr(os, "fork", counting_fork)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+        yield request.param or 1, made
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "montecarlo --k 3 --m 3 --trials 2000 --seed 0 --json",
+                "fe8ee62a6292fa3d4b613bb67277706d58809a9d6060293b8dee133e5fb9e9cd",
+            ),
+            (
+                "verify --k 3 --m 3 --samples 500 --seed 0",
+                "8103e2ca28d96448e13c8c33fa32f124d3d7f878bf530fd419a8216ffb999465",
+            ),
+        ],
+    )
+    def test_stdout_keeps_its_digest(self, capsys, split, argv, digest):
+        processes, forks = split
+        code, out, err = run_cli(capsys, argv.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert len(forks) == processes - 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "montecarlo --k 2 --m 3 --trials 300 --seed 7",
+            "montecarlo --k 3 --m 2 --trials 3 --seed 1 --with-enumeration",
+            "verify --k 2 --m 3 --samples 40 --seed 2",
+            "verify --k 1 --m 4 --samples 5 --seed 9",
+        ],
+    )
+    def test_stdout_equals_that_of_one_process(self, capsys, monkeypatch, split, argv):
+        processes, forks = split
+        code, out, err = run_cli(capsys, argv.split())
+        assert len(forks) == processes - 1
+        monkeypatch.setattr(engine, "FORK_MIN_FIRES", 10**9)
+        assert run_cli(capsys, argv.split()) == (code, out, err)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("chosen", [{89}, {40, 80}, {5, 50}, {29, 30, 59, 60}])
+    def test_reproduce_line_names_the_earliest_failing_trial(self, capsys, monkeypatch, split, chosen):
+        params, samples, seed = StarParams(3, 3), 90, 4
+        logs = [log.moves for _, _, log in random_games(params, range(samples), seed)]
+        bad = {logs[i] for i in chosen}
+        failing = [i for i, moves in enumerate(logs) if moves in bad]
+        real = starchip.cli.check_game
+
+        def check_game(outcome, log):
+            return {**real(outcome, log), "mixing": log.moves not in bad}
+
+        monkeypatch.setattr(starchip.cli, "check_game", check_game)
+        code, out, err = run_cli(capsys, ["verify", "--k", "3", "--m", "3", "--samples", "90", "--seed", "4"])
+        assert code == 1
+        assert f"center resend order check failures: {len(failing)}" in out.splitlines()
+        i = failing[0]
+        trial_seed = derive_seed(seed, i)
+        assert err == (
+            f"trial {i} (seed {trial_seed}) failed mixing; reproduce with: starchip stabilize --k 3 --m 3 "
+            f"--strategy random --seed {trial_seed} --verify\n"
+        )
+
+    @pytest.mark.parametrize("trial", [0, 45, 89])
+    def test_an_error_in_any_range_is_raised_here_and_leaves_no_child(self, capsys, monkeypatch, split, trial):
+        logs = [log.moves for _, _, log in random_games(StarParams(3, 3), range(90), 4)]
+        real = starchip.cli.check_game
+
+        def check_game(outcome, log):
+            if log.moves == logs[trial]:
+                raise RuntimeError(f"check of trial {trial} broke")
+            return real(outcome, log)
+
+        monkeypatch.setattr(starchip.cli, "check_game", check_game)
+        with pytest.raises(RuntimeError, match=f"check of trial {trial} broke"):
+            main(["verify", "--k", "3", "--m", "3", "--samples", "90", "--seed", "4"])
+        _no_child_left()
+        assert capsys.readouterr().out == ""
+
+    def test_summaries_come_back_in_trial_order(self, split):
+        processes, forks = split
+        parts = fork_trials(StarParams(2, 2), 10, list)
+        assert len(parts) == processes
+        assert [i for part in parts for i in part] == list(range(10))
+        assert len(forks) == processes - 1
+
+    def test_a_failed_fork_leaves_its_range_to_the_parent(self, capsys, monkeypatch):
+        argv = "montecarlo --k 2 --m 3 --trials 300 --seed 7 --json".split()
+        expected = run_cli(capsys, argv)
+        real_fork, made = os.fork, []
+
+        def fork_once():
+            made.append(1)
+            if len(made) > 1:
+                raise OSError("no more processes")
+            return real_fork()
+
+        monkeypatch.setattr(engine, "FORK_MIN_FIRES", 1)
+        monkeypatch.setattr(os, "fork", fork_once, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        assert run_cli(capsys, argv) == expected
+        assert len(made) == 2
+        made.clear()
+        parts = fork_trials(StarParams(2, 2), 12, list)
+        assert parts == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+        assert len(made) == 2
+        _no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
+        def fork():
+            raise AssertionError("forked a process that runs two threads")
+
+        monkeypatch.setattr(engine, "FORK_MIN_FIRES", 1)
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            code, out, _ = run_cli(capsys, ["montecarlo", "--k", "2", "--m", "2", "--trials", "50", "--seed", "5"])
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert code == 0 and "trials=50" in out
+
+    def test_small_runs_fork_nothing(self, capsys, monkeypatch):
+        def fork():
+            raise AssertionError("forked for too little work")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        # (2,4) games are 30 fires long: 20 of them are 600 fires.
+        code, out, _ = run_cli(capsys, ["verify", "--k", "2", "--m", "4", "--samples", "20", "--seed", "0"])
+        assert code == 0 and "verification: PASS" in out

@@ -28,7 +28,7 @@ from starchip import (
     verify_poset,
 )
 from starchip.core import _board, _fireable, totally_sorted_outcome
-from starchip.engine import _unrank
+from starchip.engine import _unrank, random_games
 from starchip.tableaux import Tableau, _WitnessScript
 from starchip.verify import check_game
 
@@ -434,3 +434,10 @@ def test_illegal_moves_are_reported_as_by_the_object_model(case):
     else:
         # a fire off levels 0..m-1 breaks the closed-form fire counts first
         assert [v.rule for v in report.violations] == ["fire-count-mismatch"]
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (0, 7), (3, 4), (5, 20), (19, 20)])
+def test_random_games_over_a_range_are_that_slice_of_a_full_run(a, b):
+    params = StarParams(2, 3)
+    full = list(random_games(params, range(20), 11))
+    assert list(random_games(params, range(a, b), 11)) == full[a:b]
