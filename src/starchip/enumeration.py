@@ -47,7 +47,10 @@ class EnumerationResult:
     params: StarParams
     per_outcome: dict[Outcome, int]
     """Sequence count of each reachable outcome, in no specified order."""
-    total_sequences: int
+
+    @property
+    def total_sequences(self) -> int:
+        return sum(self.per_outcome.values())
 
     def sorted_items(self) -> list[tuple[Outcome, int]]:
         """Rows ordered by ascending count, then lexicographically."""
@@ -64,15 +67,6 @@ class EnumerationResult:
             "total_sequences": str(self.total_sequences),
         }
         return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnumerationResult":
-        doc = json.loads(text)
-        per_outcome = {
-            tuple(tuple(row) for row in entry["branches"]): int(entry["sequence_count"])
-            for entry in doc["outcomes"]
-        }
-        return cls(StarParams(doc["k"], doc["m"]), per_outcome, int(doc["total_sequences"]))
 
 
 def _check_budget(params: StarParams, max_states: int | None, default_cells: int) -> None:
@@ -150,8 +144,7 @@ def enumerate_all(params: StarParams, max_states: int | None = None) -> Enumerat
     states passes ``max_states``.
     """
     _check_budget(params, max_states, DEFAULT_CELL_BUDGET)
-    per_outcome = _sweep(params, max_states, _fireable)
-    return EnumerationResult(params, per_outcome, sum(per_outcome.values()))
+    return EnumerationResult(params, _sweep(params, max_states, _fireable))
 
 
 def reachable_set(params: StarParams, max_states: int | None = None) -> set[Outcome]:

@@ -1,5 +1,12 @@
 """Random-play frequency experiments and table/JSON emitters.
 
+A report holds what was counted and nothing it could derive. A
+:class:`FrequencyReport` holds the shape, the seed and each observed
+outcome's hit count; its trial count, each outcome's standard-tableau and
+totally-sorted flags and its two verdicts are computed from those when read.
+An :class:`~starchip.enumeration.EnumerationResult` likewise holds only the
+sequence count of each outcome, and its total is their sum.
+
 Sequence counts and random-play frequencies measure different things: random
 play does not pick stabilization sequences uniformly, so a popular outcome by
 sequence count need not be the most frequent under random play. Reports keep
@@ -14,13 +21,13 @@ below the non-standard [1,4,5],[2,3,7],[6,8,9] at 0.001852.
 """
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import Outcome, StarParams, is_totally_sorted, outcome_to_text
 from .engine import fork_trials, random_games
@@ -28,28 +35,26 @@ from .enumeration import EnumerationResult
 from .tableaux import from_outcome
 
 
-class OutcomeStats(NamedTuple):
-    hits: int
-    is_syt: bool
-    is_totally_sorted: bool
-
-
 @dataclass(frozen=True)
 class FrequencyReport:
     """Outcome tallies over independent seeded random-play stabilizations."""
 
     params: StarParams
-    trials: int
     seed: int
-    per_outcome: dict[Outcome, OutcomeStats]
+    per_outcome: dict[Outcome, int]
+    """Hit count of each observed outcome, in no specified order."""
 
-    def sorted_items(self) -> list[tuple[Outcome, OutcomeStats]]:
+    @property
+    def trials(self) -> int:
+        return sum(self.per_outcome.values())
+
+    def sorted_items(self) -> list[tuple[Outcome, int]]:
         """Most frequent first; ties broken lexicographically."""
-        return sorted(self.per_outcome.items(), key=lambda kv: (-kv[1].hits, kv[0]))
+        return sorted(self.per_outcome.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def mode_outcomes(self) -> list[Outcome]:
-        top = max(stats.hits for stats in self.per_outcome.values())
-        return sorted(o for o, stats in self.per_outcome.items() if stats.hits == top)
+        top = max(self.per_outcome.values())
+        return sorted(o for o, hits in self.per_outcome.items() if hits == top)
 
     @property
     def totally_sorted_is_mode(self) -> bool:
@@ -59,8 +64,9 @@ class FrequencyReport:
     def syt_outcomes_dominate(self) -> bool:
         """True iff every observed standard-tableau outcome out-frequents every
         observed non-standard outcome (vacuously true if either side is empty)."""
-        syt_hits = [s.hits for s in self.per_outcome.values() if s.is_syt]
-        other_hits = [s.hits for s in self.per_outcome.values() if not s.is_syt]
+        syt_hits, other_hits = [], []
+        for o, hits in self.per_outcome.items():
+            (syt_hits if from_outcome(o).is_standard else other_hits).append(hits)
         if not syt_hits or not other_hits:
             return True
         return min(syt_hits) > max(other_hits)
@@ -74,27 +80,16 @@ class FrequencyReport:
             "outcomes": [
                 {
                     "branches": [list(row) for row in outcome],
-                    "hits": stats.hits,
-                    "is_syt": stats.is_syt,
-                    "is_totally_sorted": stats.is_totally_sorted,
+                    "hits": hits,
+                    "is_syt": from_outcome(outcome).is_standard,
+                    "is_totally_sorted": is_totally_sorted(outcome),
                 }
-                for outcome, stats in self.sorted_items()
+                for outcome, hits in self.sorted_items()
             ],
             "totally_sorted_is_mode": self.totally_sorted_is_mode,
             "syt_outcomes_dominate": self.syt_outcomes_dominate,
         }
         return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FrequencyReport":
-        doc = json.loads(text)
-        per_outcome = {
-            tuple(tuple(row) for row in entry["branches"]): OutcomeStats(
-                entry["hits"], entry["is_syt"], entry["is_totally_sorted"]
-            )
-            for entry in doc["outcomes"]
-        }
-        return cls(StarParams(doc["k"], doc["m"]), doc["trials"], doc["seed"], per_outcome)
 
 
 def run_montecarlo(params: StarParams, trials: int, seed: int) -> FrequencyReport:
@@ -111,11 +106,7 @@ def run_montecarlo(params: StarParams, trials: int, seed: int) -> FrequencyRepor
     tally: Counter[Outcome] = Counter()
     for part in fork_trials(params, trials, tally_range):
         tally.update(part)
-    per_outcome = {
-        o: OutcomeStats(hits, from_outcome(o).is_standard, is_totally_sorted(o))
-        for o, hits in tally.items()
-    }
-    return FrequencyReport(params, trials, seed, per_outcome)
+    return FrequencyReport(params, seed, dict(tally))
 
 
 def _enumeration_table(result: EnumerationResult) -> str:
@@ -134,11 +125,11 @@ def _frequency_table(report: FrequencyReport) -> str:
         f"random-play outcome frequencies for k={params.k}, m={params.m} "
         f"(trials={report.trials}, seed={report.seed})"
     ]
-    for outcome, stats in report.sorted_items():
-        tags = ["syt" if stats.is_syt else "non-syt"]
-        if stats.is_totally_sorted:
+    for outcome, hits in report.sorted_items():
+        tags = ["syt" if from_outcome(outcome).is_standard else "non-syt"]
+        if is_totally_sorted(outcome):
             tags.append("totally-sorted")
-        lines.append(f"{outcome_to_text(outcome)} | {stats.hits} | {' | '.join(tags)}")
+        lines.append(f"{outcome_to_text(outcome)} | {hits} | {' | '.join(tags)}")
     lines.append(f"totally sorted outcome is the mode: {'yes' if report.totally_sorted_is_mode else 'no'}")
     lines.append(
         "syt outcomes out-frequent non-syt outcomes: "
@@ -160,22 +151,25 @@ def emit_table(result: EnumerationResult | FrequencyReport, format: str = "text"
 
 def write_atomic(path: str, text: str) -> None:
     """Write UTF-8 text via a temp file and rename, so readers never see a
-    partially written file. The file gets the mode ``open(path, "w")`` would
-    give it, and an OSError names ``path``, not the temp file."""
-    directory = os.path.dirname(os.path.abspath(path))
+    partially written file. As with ``open(path, "w")``, a symlink at
+    ``path`` is written through, the file keeps or gets the mode that call
+    would give it, and an OSError names ``path``, not the temp file."""
+    target = os.path.realpath(path)
     umask = os.umask(0)
     os.umask(umask)
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        mode = stat.S_IMODE(os.stat(target).st_mode)
     except OSError:
         mode = 0o666 & ~umask
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+        if os.path.islink(target):  # realpath stops at a symlink loop, where open() fails
+            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix=os.path.basename(target))
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as e:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

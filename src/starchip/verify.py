@@ -23,15 +23,17 @@ count of a vertex's fires so far tells whether a fire is an endgame fire as
 it comes; only the endgame fires' indices are kept, and the order rules are
 checked on them once the log ends.
 
+Each log check returns a :class:`VerifierReport`, which holds the
+violations it found, in order, and passes exactly when it holds none.
+
 Stable outcomes themselves are checked for the two sorting guarantees:
 rows sorted along each branch, and the innermost/outermost rings sorted
 across branches.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -64,29 +66,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerifierReport:
-    passed: bool
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
+    violations: tuple[Violation, ...] = ()
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerifierReport":
-        """Read a report back. A subject's nested lists come back as nested
-        tuples, which compare equal to the FireRefs and Vertices written."""
-        doc = json.loads(text)
-        violations = tuple(
-            Violation(v["rule"], _tuples(v["subject"]), v["detail"]) for v in doc["violations"]
-        )
-        return cls(doc["passed"], violations)
-
-
-def _tuples(x):
-    return tuple(map(_tuples, x)) if isinstance(x, list) else x
-
-
-def _report(violations: list[Violation]) -> VerifierReport:
-    return VerifierReport(passed=not violations, violations=tuple(violations))
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def endgame_refs(params: StarParams) -> list[FireRef]:
@@ -164,7 +148,7 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
     try:
         times, replayed = _endgame_walk(log, board)
     except LogInconsistencyError as e:
-        return _report([Violation("fire-count-mismatch", (), str(e))])
+        return VerifierReport((Violation("fire-count-mismatch", (), str(e)),))
     violations: list[Violation] = []
 
     def require_before(u: int, g: int, s: int, f: int, rule: str) -> None:
@@ -191,7 +175,7 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
                 inner, outer = receivers
                 require_before(inner, f + 1, s, f, "inner-refire-precedes")
                 require_before(outer, f, s, f, "outer-precedes")
-    return _report(violations + replayed)
+    return VerifierReport(tuple(violations + replayed))
 
 
 def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
@@ -234,7 +218,7 @@ def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
                         f"{sent[i]} to branch {i + 1}",
                     )
                 )
-    return _report(violations)
+    return VerifierReport(tuple(violations))
 
 
 def verify_branch_sorted(outcome: Outcome) -> bool:

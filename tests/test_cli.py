@@ -13,7 +13,7 @@ import starchip.verify
 from starchip import StarParams, derive_seed, engine
 from starchip.cli import main
 from starchip.engine import fork_trials, random_games
-from starchip.verify import VerifierReport
+from starchip.verify import VerifierReport, Violation
 
 
 def run_cli(capsys, argv):
@@ -99,6 +99,17 @@ class TestEnumerate:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["total_sequences"] == "12"
+
+    def test_out_through_a_symlink_writes_its_target(self, capsys, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "target.txt"
+        target.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        code, out, _ = run_cli(capsys, ["enumerate", "--k", "2", "--m", "2", "--out", str(link)])
+        assert code == 0 and out == ""
+        assert link.is_symlink()
+        assert "total | 12" in target.read_text()
 
 
 @pytest.mark.parametrize("command", ["enumerate", "volmin"])
@@ -295,7 +306,8 @@ class TestVerifyCommand:
         real = starchip.verify.verify_mixing
 
         def broken(log):  # fails the games whose last fire sends chips 1 and 2
-            return VerifierReport(False) if log.moves[-1].chips == (1, 2) else real(log)
+            forged = VerifierReport((Violation("center-send-increased", (), "forged"),))
+            return forged if log.moves[-1].chips == (1, 2) else real(log)
 
         monkeypatch.setattr(starchip.verify, "verify_mixing", broken)
         games = random_games(StarParams(2, 2), range(20), 4)
@@ -407,6 +419,18 @@ class TestDeterminism:
         (
             "montecarlo --k 3 --m 3 --trials 2000 --seed 0 --json",
             "fe8ee62a6292fa3d4b613bb67277706d58809a9d6060293b8dee133e5fb9e9cd",
+        ),
+        (
+            "montecarlo --k 3 --m 3 --trials 2000 --seed 0",
+            "50e20208b5d83738325bcd70ec86f3ee698634577914f0d643b804e993e0e835",
+        ),
+        (
+            "montecarlo --k 2 --m 3 --trials 500 --seed 1 --with-enumeration",
+            "419729c51fdebd34a283049aa050b38c23d311173ee38d847a8ff8e2ee85f455",
+        ),
+        (
+            "enumerate --k 3 --m 3 --max-states 100000",
+            "233ca96b4d12f2fcad82e36ab717821d91f380df7dd028a170b375a5fadec5d8",
         ),
     ],
 )

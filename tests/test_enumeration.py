@@ -334,10 +334,11 @@ def test_rrs_oracle_matches_the_two_by_four_brute_force():
 
 
 class TestResultSerialization:
-    def test_json_roundtrip(self):
-        result = enumerate_all(StarParams(2, 2))
-        back = EnumerationResult.from_json(result.to_json())
-        assert back == result
+    def test_total_is_the_sum_of_the_counts(self):
+        result = EnumerationResult(StarParams(2, 2), {((1, 3), (2, 4)): 4, ((1, 2), (3, 4)): 8})
+        assert result.total_sequences == 12
+        with pytest.raises(TypeError):
+            EnumerationResult(StarParams(2, 2), result.per_outcome, 13)  # the total is not stored
 
     def test_counts_serialized_as_decimal_strings(self):
         import json

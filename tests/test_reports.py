@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 
@@ -8,6 +9,7 @@ from starchip import (
     StarParams,
     emit_table,
     enumerate_all,
+    from_outcome,
     is_totally_sorted,
     reachable_set,
     run_montecarlo,
@@ -25,7 +27,7 @@ class TestMonteCarlo:
 
     def test_hits_sum_to_trials(self):
         report = run_montecarlo(StarParams(2, 2), trials=500, seed=1)
-        assert sum(s.hits for s in report.per_outcome.values()) == 500
+        assert sum(report.per_outcome.values()) == 500
 
     def test_support_within_reachable_set(self):
         params = StarParams(2, 3)
@@ -35,20 +37,20 @@ class TestMonteCarlo:
     def test_both_catalan_outcomes_show_up(self):
         report = run_montecarlo(StarParams(2, 2), trials=10_000, seed=2)
         assert set(report.per_outcome) == reachable_set(StarParams(2, 2))
-        assert sum(s.hits for s in report.per_outcome.values()) == 10_000
+        assert sum(report.per_outcome.values()) == 10_000
 
     def test_one_level_always_totally_sorted(self):
         report = run_montecarlo(StarParams(3, 1), trials=50, seed=0)
         assert set(report.per_outcome) == {((1,), (2,), (3,))}
-        stats = report.per_outcome[((1,), (2,), (3,))]
-        assert stats.hits == 50 and stats.is_totally_sorted and stats.is_syt
+        outcome = ((1,), (2,), (3,))
+        assert report.per_outcome[outcome] == 50
+        assert is_totally_sorted(outcome) and from_outcome(outcome).is_standard
         assert report.totally_sorted_is_mode
 
     def test_at_most_one_totally_sorted_flag(self):
         report = run_montecarlo(StarParams(2, 3), trials=300, seed=9)
-        flagged = [o for o, s in report.per_outcome.items() if s.is_totally_sorted]
+        flagged = [o for o in report.per_outcome if is_totally_sorted(o)]
         assert len(flagged) <= 1
-        assert all(is_totally_sorted(o) for o in flagged)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -85,10 +87,18 @@ class TestEmitters:
 
 
 class TestSerialization:
-    def test_frequency_report_roundtrip(self):
-        report = run_montecarlo(StarParams(2, 2), trials=250, seed=14)
-        back = FrequencyReport.from_json(report.to_json())
-        assert back == report
+    def test_trials_and_flags_come_from_the_hits(self):
+        sorted_, other = ((1, 2), (3, 4)), ((1, 3), (2, 4))
+        report = FrequencyReport(StarParams(2, 2), 0, {other: 3, sorted_: 5})
+        assert report.trials == 8
+        assert report.totally_sorted_is_mode and report.syt_outcomes_dominate
+        doc = json.loads(report.to_json())
+        assert [(e["hits"], e["is_syt"], e["is_totally_sorted"]) for e in doc["outcomes"]] == [
+            (5, True, True),
+            (3, True, False),
+        ]
+        with pytest.raises(TypeError):
+            FrequencyReport(StarParams(2, 2), 8, 0, report.per_outcome)  # the trial count is not stored
 
     def test_frequency_json_fields(self):
         report = run_montecarlo(StarParams(2, 1), trials=10, seed=0)
@@ -126,3 +136,27 @@ class TestAtomicWrite:
         write_atomic(str(target), "second\n")
         assert target.stat().st_mode & 0o777 == 0o600
         assert target.read_text() == "second\n"
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.json"
+        target.write_text("first\n")
+        target.chmod(0o600)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        write_atomic(str(link), "second\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "second\n"
+        assert target.stat().st_mode & 0o777 == 0o600
+        leftovers = [p for d in (tmp_path, tmp_path / "real") for p in os.listdir(d) if p.startswith(".tmp-")]
+        assert leftovers == []
+
+    def test_a_symlink_loop_is_refused_and_kept(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.symlink_to(b)
+        b.symlink_to(a)
+        with pytest.raises(OSError) as err:
+            write_atomic(str(a), "x\n")
+        assert err.value.errno == errno.ELOOP and err.value.filename == str(a)
+        assert a.is_symlink() and b.is_symlink()
+        assert sorted(os.listdir(tmp_path)) == ["a", "b"]
