@@ -426,9 +426,10 @@ def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...])
     """Unchecked :func:`apply_move` in place on a game's packed state:
     ``chips`` must be a sorted size-degree subset of slot ``s``'s labels.
 
-    Only slot ``s`` and its receivers change. Fired labels that ``s`` does
-    not hold are still routed, so a strategy that breaks the rules gets no
-    error here; ``_outcome`` refuses what it leaves behind."""
+    Only slot ``s`` and its receivers change. Nothing is checked here:
+    fired labels that ``s`` does not hold are still routed, and ``s`` loses
+    only those it holds, so ``engine.stabilize_labeled`` tells an illegal
+    fire by how many chips left ``s`` and has ``engine.replay`` name it."""
     state[s] = [c for c in state[s] if c not in chips]
     for u, c in zip(board.routes[s], chips):
         insort(state[u], c)

@@ -7,8 +7,9 @@ one start of the labeled game (``_Board.start``), those counts have a closed
 form: :func:`expected_fire_count`, and :func:`expected_total_fires`, the
 length of every labeled game. Games and replays run on the packed state of
 :mod:`starchip.core`, one mutable copy of ``_Board.start`` per game, fired
-in place: a strategy names each fire as a slot and its chips, and the final
-state is checked once, as ``core._outcome`` reads it off.
+in place: a strategy names each fire as a slot and its chips, the driver
+checks each fire by the chips it took, and ``core._outcome`` reads the final
+state off.
 
 Seeded random trials run on every usable CPU: :func:`fork_trials` splits
 ``range(trials)`` into consecutive ranges and plays all but the first in
@@ -150,25 +151,25 @@ def _unrank(pool: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
 class Strategy(Protocol):
     """What :func:`stabilize_labeled` asks of a strategy."""
 
-    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
+    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, Iterable[int]]:
         """The next fire on the game's packed state (see :mod:`starchip.core`),
-        as a slot and the sorted chips it fires there, which the log
-        records as a tuple.
+        as a slot and the set of chips it fires there, in any order: the
+        driver sorts them into the tuple the log records.
 
         ``state`` is the game's one mutable state and ``fireable`` the
         driver's list of its fireable slots in canonical vertex order, never
         empty; the driver changes both after each fire. A strategy reads
-        them and must not change them, and the chips it returns must be a
-        copy, not a slot of ``state``."""
+        them and must not change them. A fire the rules forbid ends the
+        game with :func:`replay`'s IllegalMoveError."""
 
 
 class Deterministic:
     """Always plays the canonically first legal move: the first fireable
     vertex and its smallest degree-many chips."""
 
-    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
+    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, Iterable[int]]:
         s = fireable[0]
-        return s, tuple(state[s][: board.deg[s]])
+        return s, state[s][: board.deg[s]]
 
 
 class RandomUniform:
@@ -223,42 +224,44 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
     ``strategy``; return the canonical outcome matrix and the move log.
 
     The game holds one mutable packed state (see :mod:`starchip.core`), a
-    copy of ``_Board.start``, and fires on it in place, unchecked. A fire
-    at slot s takes chips from s alone and adds one chip to each receiver
-    it sends to, so the list of fireable slots the strategy reads, kept in
+    copy of ``_Board.start``, and fires on it in place with the unchecked
+    ``core._fire``, then checks what the fire did: a legal fire at slot s
+    names degree-many chips, s has routes (is below level m), and s loses
+    exactly degree-many chips. While every fire so far is legal, each slot
+    holds distinct labels, so s loses that many exactly when the chips are
+    distinct and all held; and level m never holds two chips from this
+    start. The first fire that fails the check is replayed with every check
+    by :func:`replay`, which raises IllegalMoveError naming its step, move,
+    reason and state.
+
+    A fire at slot s takes chips from s alone and adds one chip to each
+    receiver, so the list of fireable slots the strategy reads, kept in
     canonical vertex order, changes in two ways only: s leaves it when it
     drops below its degree, and a receiver with routes joins it when its
-    new chip brings it exactly to its degree. Every legal
-    game from that start makes exactly expected_total_fires fires, so the
-    game stops after that many, or earlier if nothing can fire.
-    ``core._outcome`` checks the final state once and raises ShapeError on
-    whatever a strategy that breaks the rules leaves behind, replaying the
-    moves with every check to name the strategy's first illegal fire.
+    new chip brings it exactly to its degree. Legal chip-firing from
+    finitely many chips stops (Björner, Lovász and Shor, 1991), so the game
+    needs no length bound: it runs until nothing can fire, after
+    expected_total_fires fires.
     """
     board = _board(params)
     deg, routes, vertex = board.deg, board.routes, board.vertex
     state = [list(labels) for labels in board.start]
     fireable = _fireable(board, state)
     moves: list[Move] = []
-    for _ in range(expected_total_fires(params)):
-        if not fireable:
-            break
+    while fireable:
         s, chips = strategy.pick(board, state, fireable)
+        chips = tuple(sorted(chips))
+        held = len(state[s])
         _fire(board, state, s, chips)
-        moves.append(Move(vertex[s], tuple(chips)))
-        if len(state[s]) < deg[s] and s in fireable:  # a broken strategy may fire an unlisted slot
+        moves.append(Move(vertex[s], chips))
+        if len(chips) != deg[s] or not routes[s] or len(state[s]) != held - deg[s]:
+            replay(params, moves)  # raises IllegalMoveError naming this fire
+        if len(state[s]) < deg[s]:
             fireable.remove(s)
-        for u, _ in zip(routes[s], chips):
+        for u in routes[s]:
             if len(state[u]) == deg[u] and routes[u]:  # only slots with routes fire
                 insort(fireable, u)
-    try:
-        return _outcome(board, state), SequenceLog(params, tuple(moves))
-    except ShapeError as e:
-        try:
-            replay(params, moves)
-        except IllegalMoveError as illegal:
-            raise ShapeError(f"{e}; the strategy's first illegal fire was {illegal}") from illegal
-        raise
+    return _outcome(board, state), SequenceLog(params, tuple(moves))
 
 
 def random_games(params: StarParams, trials: range, seed: int) -> Iterator[tuple[int, Outcome, SequenceLog]]:
@@ -373,15 +376,14 @@ def replay(params: StarParams, moves: Iterable[Move]) -> tuple[Outcome | Labeled
     """
     board = _board(params)
     state = [list(labels) for labels in board.start]
-    played: list[Move] = []
+    moves = tuple(moves)
     for t, mv in enumerate(moves, start=1):
         try:
             _fire_checked(board, state, mv)
         except IllegalMoveError as e:
             config = _unpack(params, state)
             raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {config!r}", step=t) from None
-        played.append(mv)
-    log = SequenceLog(params, tuple(played))
+    log = SequenceLog(params, moves)
     try:
         return _outcome(board, state), log
     except ShapeError:  # from this start, every state but the stable shape is unstable

@@ -173,14 +173,14 @@ class _WitnessScript:
         # Columns of a standard tableau increase downward, so each is sorted.
         self._columns = [t.column(j) for j in range(t.shape[1])]
 
-    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
+    def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, Sequence[int]]:
         level = board.level
         branch = [s for s in fireable if level[s]]
         if branch:
             s = min(branch, key=lambda s: (level[s], s))
             if len(state[s]) != 2:
                 raise WitnessConstructionError(f"branch vertex {board.vertex[s]} holds {list(state[s])}")
-            return s, tuple(state[s])
+            return s, state[s]
         present = set(state[0])
         for column in reversed(self._columns):
             if present.issuperset(column):

@@ -10,7 +10,6 @@ from starchip import (
     Move,
     RandomUniform,
     SequenceLog,
-    ShapeError,
     StarParams,
     Vertex,
     VolatilityMinimizing,
@@ -32,7 +31,7 @@ from starchip.engine import _unrank, random_games
 from starchip.tableaux import Tableau, _WitnessScript
 from starchip.verify import check_game
 
-from oracles import naive_play
+from oracles import ReferenceSplitMix64, naive_play
 
 
 class TestUnlabeledStabilization:
@@ -169,6 +168,16 @@ class TestReplay:
         assert len(log) == 0
         assert final.labels_at(CENTER) == {1}
 
+    def test_the_log_holds_the_moves_given(self, replay_3x3_text):
+        # the moves are read once, from any iterable, and the log keeps them
+        params = StarParams(3, 3)
+        moves = SequenceLog.from_text(params, replay_3x3_text).moves
+        assert replay(params, iter(moves))[1].moves == moves
+        assert replay(params, moves)[1].moves is moves
+        final, log = replay(params, (mv for mv in moves[:5]))
+        assert log.moves == moves[:5]
+        assert final.labels_at(CENTER)
+
     def test_illegal_second_move_reports_step(self):
         params = StarParams(1, 2)
         moves = [Move(CENTER, (1,)), Move(CENTER, (1,))]
@@ -268,14 +277,13 @@ class _BrokenStrategy:
 
 @pytest.mark.parametrize("fault", ["one chip too few", "labels it does not hold"])
 def test_a_broken_strategy_is_refused_within_the_game_length(fault):
-    # Every legal game from the start makes expected_total_fires fires, so
-    # the driver picks no more than that, and the read-off refuses the state
-    # a broken strategy leaves behind, naming its first illegal fire.
+    # the driver checks each fire as it makes it, so the first illegal one
+    # ends the game with replay's error, before the strategy picks again
     params = StarParams(10, 10)
     strategy = _BrokenStrategy(fault)
-    with pytest.raises(ShapeError, match=r"first illegal fire was illegal move C:\{[\d,]+\} at step 1"):
+    with pytest.raises(IllegalMoveError, match=r"^illegal move C:\{[\d,]+\} at step 1"):
         stabilize_labeled(params, strategy)
-    assert 0 < strategy.picks <= expected_total_fires(params)
+    assert strategy.picks == 1
 
 
 class _OverfiringStrategy:
@@ -292,20 +300,96 @@ class _OverfiringStrategy:
         return Deterministic().pick(board, state, fireable)
 
 
-@pytest.mark.parametrize("k, m, picks", [(2, 2, 1), (3, 3, 6)])
-def test_a_game_that_lost_a_chip_stops_when_nothing_can_fire(k, m, picks):
-    # short of a chip, the game runs out of fireable vertices before its
-    # full length, and the read-off refuses what is left
-    params = StarParams(k, m)
+@pytest.mark.parametrize("k, m", [(2, 2), (3, 3)])
+def test_a_fire_of_k_plus_one_center_chips_is_refused(k, m):
+    # the fire that would lose a chip is refused as it is made, with the
+    # replayed check's reason and the state it was tried on
     strategy = _OverfiringStrategy()
     fired, start = (",".join(map(str, range(1, n + 1))) for n in (k + 1, k * m))
-    with pytest.raises(ShapeError) as err:
-        stabilize_labeled(params, strategy)
-    assert str(err.value).endswith(
-        f"; the strategy's first illegal fire was illegal move C:{{{fired}}} at step 1: "
-        f"must fire exactly {k} chips; state LabeledConfig(C:{{{start}}})"
+    with pytest.raises(IllegalMoveError) as err:
+        stabilize_labeled(StarParams(k, m), strategy)
+    assert str(err.value) == (
+        f"illegal move C:{{{fired}}} at step 1: must fire exactly {k} chips; state LabeledConfig(C:{{{start}}})"
     )
-    assert strategy.picks == picks < expected_total_fires(params)
+    assert err.value.step == strategy.picks == 1
+
+
+class _Script:
+    """Fires the moves of a script in order, whatever the state holds."""
+
+    def __init__(self, text):
+        self.moves = [parse_move(word) for word in text.split()]
+        self.picks = 0
+
+    def pick(self, board, state, fireable):
+        mv = self.moves[self.picks]
+        self.picks += 1
+        return board.slot[mv.vertex], mv.chips
+
+
+@pytest.mark.parametrize(
+    "k, m, script, step",
+    [
+        (1, 2, "C:{2} C:{2} B(1,1):{1,2} C:{1}", 2),
+        (2, 2, "C:{1,3} C:{2,4} B(1,1):{1,2} B(2,1):{1,3} C:{1}", 4),
+    ],
+)
+def test_a_fire_of_chips_the_vertex_does_not_hold_is_refused(k, m, script, step):
+    # Played to the end, the first script stops on [1,2] and the second on
+    # the unsorted [1,2],[4,3]: stable states of the right shape, which the
+    # read-off alone cannot tell from a game's outcome.
+    strategy = _Script(script)
+    with pytest.raises(IllegalMoveError, match=r"chips not present") as err:
+        stabilize_labeled(StarParams(k, m), strategy)
+    assert err.value.step == strategy.picks == step
+
+
+class _SloppyStrategy:
+    """Random play from a reference stream that now and then breaks the
+    rules: each fire swaps a chip for a label the slot does not hold with
+    chance 1/(4L), and fires a chip short with chance 1/(4L), where L is the
+    game's length, so some 40% of games break a rule. It names its chips in
+    descending order, which the driver sorts. ``fault`` is the step of its
+    first illegal fire, or None."""
+
+    def __init__(self, params, seed):
+        self.rng = ReferenceSplitMix64(seed)
+        self.odds = 4 * expected_total_fires(params)
+        self.picks = 0
+        self.fault = None
+
+    def pick(self, board, state, fireable):
+        rng = self.rng
+        self.picks += 1
+        s = fireable[rng.randrange(len(fireable))]
+        chips = list(rng.subset(state[s], board.deg[s]))
+        roll = rng.randrange(self.odds)
+        if roll == 0:
+            foreign = [c for c in range(1, board.params.n_chips + 2) if c not in state[s]]
+            chips[rng.randrange(len(chips))] = foreign[rng.randrange(len(foreign))]
+        elif roll == 1:
+            chips.pop(rng.randrange(len(chips)))
+        if roll < 2 and self.fault is None:
+            self.fault = self.picks
+        return s, chips[::-1]
+
+
+@pytest.mark.parametrize("k, m", SMALL_SHAPES)
+def test_a_game_is_refused_at_its_first_illegal_fire_or_passes_every_check(k, m):
+    params = StarParams(k, m)
+    refused = 0
+    for seed in range(200):
+        strategy = _SloppyStrategy(params, 1000 * (10 * k + m) + seed)
+        try:
+            outcome, log = stabilize_labeled(params, strategy)
+        except IllegalMoveError as e:
+            assert e.step == strategy.fault == strategy.picks
+            refused += 1
+            continue
+        assert strategy.fault is None
+        assert replay(params, log.moves) == (outcome, log)
+        assert all(check_game(outcome, log).values())
+    assert 0 < refused < 200
 
 
 class _SlicingStrategy:
@@ -372,12 +456,13 @@ def test_the_kept_fireable_list_equals_a_rescan(k, m):
 @pytest.mark.parametrize("k, m", [(2, 3), (3, 3), (10, 10)])
 def test_a_broken_fire_changes_only_its_slot_and_receivers(fault, k, m):
     # the kept list is updated at the fired slot and its receivers alone,
-    # which is right only if no fire, legal or not, changes another slot;
-    # a fire at a slot that is not listed must leave the list as it is there
+    # which is right only if no legal fire changes another slot; the spy
+    # checks it against a rescan up to the first illegal fire, which ends
+    # the game at once
     spy = _Spy(_OverfiringStrategy() if fault == "k + 1 chips at the center" else _BrokenStrategy(fault))
-    with pytest.raises(ShapeError, match="first illegal fire"):
+    with pytest.raises(IllegalMoveError) as err:
         stabilize_labeled(StarParams(k, m), spy)
-    assert spy.picks > 0
+    assert err.value.step == spy.picks > 0
 
 
 def _object_replay(params, moves):
