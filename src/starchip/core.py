@@ -295,7 +295,7 @@ def _check_fire(
     params: StarParams, v: Vertex, have: Iterable[int], fired: tuple[int, ...], d: int | None = None
 ) -> None:
     """The legality checks of firing ``fired`` at ``v`` while it holds the
-    labels ``have``, shared by :func:`apply_move` and :func:`_fire_checked`.
+    labels ``have``, shared by :func:`apply_move` and :meth:`_Replay.fire`.
     ``d`` is v's degree if the caller has it; otherwise it is looked up.
 
     Raises IllegalMoveError, also for a vertex off the star."""
@@ -333,21 +333,23 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
     return LabeledConfig(params, new)
 
 
-# Packed state: what the exhaustive searches, the game drivers, the replays
-# and the verifiers run on, from _Board.start to the matrix _outcome reads
-# off. It is indexed by vertex slot, slot 0 being the center and slot
-# 1 + (i-1)*m + (j-1) branch i, level j, and each slot holds its labels in
-# ascending order. The sweep keeps each state as one int (see
-# enumeration._sweep) and decodes it into a tuple of tuples only for the
-# move filter, once per chip-count group, and for the final read-off. A
-# game, a replay or a verifier copies _Board.start into one list of lists and
-# fires in place on it (see _fire), so a fire touches only the fired slot
-# and its receivers; whoever reads that list while the game runs, a
-# strategy included, must not change it. Started from k*m chips on the
-# center, level m never fires (see _fire_count), so no chip passes it and
-# the slots cover every reachable state. LabeledConfig is the
-# checked public form; _pack and _unpack convert at the edges. Every reader
-# here only indexes slots and takes their length, so it reads either form.
+# Packed state: what the exhaustive searches and the game drivers run on,
+# from _Board.start to the matrix _outcome reads off. It is indexed by vertex
+# slot, slot 0 being the center and slot 1 + (i-1)*m + (j-1) branch i,
+# level j, and each slot holds its labels in ascending order. The sweep keeps
+# each state as one int (see enumeration._sweep) and decodes it into a tuple
+# of tuples only for the move filter, once per chip-count group, and for the
+# final read-off. A game copies _Board.start into one list of lists and fires
+# in place on it (see _fire), so a fire touches only the fired slot and its
+# receivers; whoever reads that list while the game runs, a strategy
+# included, must not change it. A replay or a verifier reads no labels off a
+# slot, so it holds a _Replay instead: the slot of each label and the chip
+# count of each slot, and a fire touches only the fired chips and the counts.
+# Started from k*m chips on the center, level m never fires (see _fire_count),
+# so no chip passes it and the slots cover every reachable state.
+# LabeledConfig is the checked public form; _pack and _unpack convert at the
+# edges. Every reader here only indexes slots and takes their length, so it
+# reads either form.
 
 _State = Sequence[Sequence[int]]
 
@@ -380,7 +382,7 @@ class _Board(NamedTuple):
     """The labeled game's start: every label on the center."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # a (300,300) board holds about 37 MB, so only a few are kept
 def _board(params: StarParams) -> _Board:
     k, m = params.k, params.m
     vertex = (CENTER,) + tuple(Vertex(i, j) for i in range(1, k + 1) for j in range(1, m + 1))
@@ -435,20 +437,62 @@ def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...])
         insort(state[u], c)
 
 
-def _fire_checked(board: _Board, state: list[list[int]], move: Move) -> None:
-    """:func:`apply_move` in place on a game's packed state, with the same
-    checks and errors; a refused move leaves the state as it was.
+class _Replay:
+    """A replay's state, started from ``_Board.start``: ``where[c]`` is the
+    slot of label c (``where[0]`` is unused) and ``count[s]`` the number of
+    chips on slot s. The board's tables ride along for :meth:`fire`.
 
-    A vertex past level m has no slot and holds nothing, so every fire there
-    is rejected. From the all-on-center start, level m never holds two chips
-    (level m-1 fires once in every stabilization, and no legal sequence fires
-    a vertex more often), so the checks also reject every fire there."""
-    v, fired = move
-    s = board.slot.get(v)
-    if s is None:
-        _check_fire(board.params, v, (), fired)  # raises: nothing fires off the slots
-    _check_fire(board.params, v, state[s], fired, board.deg[s])
-    _fire(board, state, s, fired)
+    :meth:`fire` accepts exactly the moves :func:`apply_move` accepts and
+    refuses the others with its IllegalMoveError text, as the differential
+    test in ``tests/test_core.py`` pins; a refused move leaves the state as
+    it was. From the all-on-center start, level m never holds two chips
+    (level m-1 fires once in every stabilization, and no legal sequence
+    fires a vertex more often), so no fire there is accepted."""
+
+    __slots__ = ("board", "deg", "routes", "n", "where", "count")
+
+    def __init__(self, board: _Board):
+        self.board, self.deg, self.routes, self.n = board, board.deg, board.routes, board.params.n_chips
+        self.where = [0] * (self.n + 1)
+        self.count = [len(labels) for labels in board.start]
+        for s, labels in enumerate(board.start):
+            for c in labels:
+                self.where[c] = s
+
+    def fire(self, s: int | None, move: Move) -> None:
+        """Fire ``move`` in place; ``s`` is ``board.slot.get(move.vertex)``,
+        which every caller has at hand.
+
+        A fire is legal when its vertex has a slot, it names degree-many
+        chips in a tuple, they strictly increase within 1..k*m, and each
+        sits on the slot. Only a refused fire lists the slot's labels, in
+        ascending order, for :func:`_check_fire` to name what is wrong."""
+        v, chips = move
+        where, count = self.where, self.count
+        if s is not None and isinstance(chips, tuple) and len(chips) == self.deg[s]:
+            last = 0
+            for c in chips:
+                if not last < c <= self.n or where[c] != s:
+                    break
+                last = c
+            else:
+                count[s] -= len(chips)
+                for u, c in zip(self.routes[s], chips):
+                    where[c] = u
+                    count[u] += 1
+                return
+        if s is None:
+            _check_fire(self.board.params, v, (), chips)
+        else:
+            _check_fire(self.board.params, v, [c for c in range(1, self.n + 1) if where[c] == s], chips, self.deg[s])
+        raise AssertionError(f"_check_fire accepts {move}, which the replay refuses")
+
+    def state(self) -> list[list[int]]:
+        """The packed state: every slot's labels, in ascending order."""
+        state: list[list[int]] = [[] for _ in self.count]
+        for c in range(1, self.n + 1):
+            state[self.where[c]].append(c)
+        return state
 
 
 def _calmest(board: _Board, state: _State, fireable: list[int]) -> list[int]:

@@ -5,11 +5,11 @@ stabilization sequences from a fixed start agree in length and in how often
 each vertex fires (confluence). Starting from k*m chips on the center, the
 one start of the labeled game (``_Board.start``), those counts have a closed
 form: :func:`expected_fire_count`, and :func:`expected_total_fires`, the
-length of every labeled game. Games and replays run on the packed state of
+length of every labeled game. Games run on the packed state of
 :mod:`starchip.core`, one mutable copy of ``_Board.start`` per game, fired
 in place: a strategy names each fire as a slot and its chips, the driver
 checks each fire by the chips it took, and ``core._outcome`` reads the final
-state off.
+state off. Replays hold only where each label is (``core._Replay``).
 
 Seeded random trials run on every usable CPU: :func:`fork_trials` splits
 ``range(trials)`` into consecutive ranges and plays all but the first in
@@ -45,8 +45,8 @@ from .core import (
     _State,
     _board,
     _calmest,
+    _Replay,
     _fire,
-    _fire_checked,
     _fire_count,
     _fireable,
     _outcome,
@@ -371,18 +371,23 @@ def replay(params: StarParams, moves: Iterable[Move]) -> tuple[Outcome | Labeled
 
     Returns (outcome, log) when the script ends stable, else (config, log).
     An illegal move raises IllegalMoveError naming the 1-based step and the
-    configuration it was attempted on; each fire is checked exactly as
-    :func:`starchip.core.apply_move` checks it, on the packed state.
+    configuration it was attempted on. The replay holds a ``core._Replay``,
+    the slot of each label and the chip count of each slot, whose fires
+    accept exactly the moves :func:`starchip.core.apply_move` accepts, with
+    its error texts; the per-slot label lists are built once, at the end or
+    at the refused move.
     """
     board = _board(params)
-    state = [list(labels) for labels in board.start]
+    slot = board.slot
+    played = _Replay(board)
     moves = tuple(moves)
     for t, mv in enumerate(moves, start=1):
         try:
-            _fire_checked(board, state, mv)
+            played.fire(slot.get(mv.vertex), mv)
         except IllegalMoveError as e:
-            config = _unpack(params, state)
+            config = _unpack(params, played.state())
             raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {config!r}", step=t) from None
+    state = played.state()
     log = SequenceLog(params, moves)
     try:
         return _outcome(board, state), log

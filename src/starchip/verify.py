@@ -44,8 +44,8 @@ from .core import (
     Vertex,
     CENTER,
     _Board,
+    _Replay,
     _board,
-    _fire_checked,
 )
 from .engine import SequenceLog, expected_total_fires
 
@@ -81,11 +81,14 @@ def endgame_refs(params: StarParams) -> list[FireRef]:
 
 
 def _endgame_walk(log: SequenceLog, board: _Board) -> tuple[list[list[int]], list[Violation]]:
-    """Read the log once, front to back, replaying it from ``_Board.start``.
+    """Read the log once, front to back, replaying it from ``_Board.start``
+    on a ``core._Replay``: the slot of each label and the chip count of each
+    slot, which is all the checks read. Its fires accept exactly the moves
+    ``apply_move`` accepts, with the same error texts.
 
     The closed-form counts say in advance which fires are endgame fires: a
-    vertex's f-th fire from the end is the one that leaves f of its fires
-    to come. Returns, for each slot, the log indices of its endgame fires,
+    slot's f-th fire from the end is the one that leaves f of its fires to
+    come. Returns, for each slot, the log indices of its endgame fires,
     last fire first (entry f is the index of the slot's f-th fire from the
     end; slots at level m have none), and the ``exact-degree-chips`` and
     ``illegal-replay`` violations met on the way. The replay and the chip
@@ -94,35 +97,47 @@ def _endgame_walk(log: SequenceLog, board: _Board) -> tuple[list[list[int]], lis
 
     Raises LogInconsistencyError if the log's per-vertex fire counts do not
     match the closed-form counts of a complete stabilization."""
-    wanted = board.fires
+    slot, deg = board.slot, board.deg
+    wanted = [board.fires.get(v, 0) for v in board.vertex]
     times = [[-1] * (board.params.m - level) for level in board.level]
-    counts: dict[Vertex, int] = {}
+    fired = [0] * len(board.vertex)
+    stray: dict[Vertex, int] = {}  # fires of vertices that have no slot
+    first: list[Vertex] = []  # every fired vertex, in order of first fire
     violations: list[Violation] = []
-    state: list[list[int]] | None = [list(labels) for labels in board.start]
+    played = _Replay(board)
+    count, fire = played.count, played.fire
     for t, mv in enumerate(log.moves):
         v = mv.vertex
-        counts[v] = counts.get(v, 0) + 1
-        s = board.slot.get(v)
-        f = wanted.get(v, 0) - counts[v]  # how many fires of v are still to come
-        if s is not None and 0 <= f < len(times[s]):
-            times[s][f] = t
-            if state is not None and len(state[s]) != board.deg[s]:
-                violations.append(
-                    Violation(
-                        "exact-degree-chips",
-                        (FireRef(v, f),),
-                        f"endgame fire {v}^{f} at index {t} ran with "
-                        f"{len(state[s])} chips present, not {board.deg[s]}",
+        s = slot.get(v)
+        if s is None:
+            if v not in stray:
+                first.append(v)
+            stray[v] = stray.get(v, 0) + 1
+        else:
+            if not fired[s]:
+                first.append(v)
+            fired[s] += 1
+            f = wanted[s] - fired[s]  # how many fires of this slot are still to come
+            if 0 <= f < len(times[s]):
+                times[s][f] = t
+                if fire is not None and count[s] != deg[s]:
+                    violations.append(
+                        Violation(
+                            "exact-degree-chips",
+                            (FireRef(v, f),),
+                            f"endgame fire {v}^{f} at index {t} ran with "
+                            f"{count[s]} chips present, not {deg[s]}",
+                        )
                     )
-                )
-        if state is not None:
+        if fire is not None:
             try:
-                _fire_checked(board, state, mv)
+                fire(s, mv)
             except IllegalMoveError as e:
                 violations.append(Violation("illegal-replay", (t,), str(e)))
-                state = None
-    if counts != wanted:
-        raise LogInconsistencyError(f"per-vertex fire counts {counts} disagree with the closed form {wanted}")
+                fire = None
+    if stray or fired != wanted:
+        counts = {v: stray[v] if v in stray else fired[slot[v]] for v in first}
+        raise LogInconsistencyError(f"per-vertex fire counts {counts} disagree with the closed form {board.fires}")
     return times, violations
 
 

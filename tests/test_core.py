@@ -1,8 +1,9 @@
 import math
+import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from starchip import (
     CENTER,
@@ -28,7 +29,7 @@ from starchip import (
     parse_vertex,
     totally_sorted_outcome,
 )
-from starchip.core import _board, _outcome
+from starchip.core import _Replay, _board, _outcome, _pack, _unpack
 
 
 def labeled(params: StarParams, placement: dict) -> LabeledConfig:
@@ -255,6 +256,16 @@ class TestOutcomeReadOff:
             _outcome(_board(StarParams(2, 2)), state)
 
 
+def test_board_cache_keeps_only_the_latest_few_shapes():
+    # a (300,300) board holds about 37 MB, so a process that touches many
+    # shapes keeps only the boards it used last
+    bound = _board.cache_info().maxsize
+    assert bound is not None and bound <= 16
+    for k in range(1, bound + 5):
+        _board(StarParams(k, 1))
+    assert _board.cache_info().currsize == bound
+
+
 class TestTextForms:
     def test_move_roundtrip(self):
         for text in ("C:{1,2,3}", "B(1,2):{4,7}"):
@@ -361,3 +372,64 @@ def test_legal_moves_deterministic(case):
     assert legal_moves(config) == legal_moves(twin)
     moves = legal_moves(config)
     assert moves == sorted(moves)
+
+
+# The replay's checked fire on label positions against apply_move.
+
+def _move_to_try(rnd: random.Random, config: LabeledConfig) -> Move:
+    """A move on ``config`` that is legal or wrong in one of several ways:
+    the vertex may sit on level m, past it or on a branch past k, and the
+    chips may be too few or too many, unsorted, repeated, absent, out of
+    1..k*m, or a list instead of a tuple."""
+    k, m, n = config.params.k, config.params.m, config.params.n_chips
+    i = rnd.randint(1, k)
+    v = rnd.choice(sorted(config.chips) + [Vertex(i, m), Vertex(i, m + 1), Vertex(k + 1, 1)])
+    d = k if v.is_center else 2
+    held = sorted(config.labels_at(v))
+
+    def some(labels: list[int], size: int) -> list[int]:
+        return sorted(rnd.sample(labels, min(max(size, 0), len(labels))))
+
+    kind = rnd.choice(["held", "wrong size", "unsorted", "duplicate", "absent chip", "out of range", "list"])
+    if kind == "wrong size":
+        chips = some(held, rnd.choice([d - 1, d + 1]))
+    elif kind == "unsorted":
+        chips = some(held, d)[::-1]
+    elif kind == "duplicate":
+        part = some(held or list(range(1, n + 1)), max(d - 1, 1))
+        chips = sorted(part + part[:1])
+    elif kind == "absent chip":
+        chips = some(list(range(1, n + 1)), d)
+    elif kind == "out of range":
+        chips = sorted(some(held, d - 1) + [rnd.choice([-1, 0, n + 1])])
+    else:
+        chips = some(held, d)
+    return Move(v, chips if kind == "list" else tuple(chips))
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
+def test_replay_fire_matches_apply_move(k, m, rnd):
+    # Games from the start where each step tries a legal move or a broken
+    # one: the replay accepts exactly what apply_move accepts, refuses the
+    # rest with the same text and an unchanged state, and holds the same
+    # configuration after every step.
+    params = StarParams(k, m)
+    board = _board(params)
+    config = initial_labeled(params)
+    replayed = _Replay(board)
+    while moves := legal_moves(config):
+        mv = rnd.choice(moves) if rnd.random() < 0.5 else _move_to_try(rnd, config)
+        try:
+            after = apply_move(config, mv)
+        except IllegalMoveError as e:
+            with pytest.raises(IllegalMoveError) as refused:
+                replayed.fire(board.slot.get(mv.vertex), mv)
+            assert str(refused.value) == str(e)
+        else:
+            replayed.fire(board.slot.get(mv.vertex), mv)
+            config = after
+        state = replayed.state()
+        assert _unpack(params, state) == config
+        assert state == [list(labels) for labels in _pack(config)]
+        assert replayed.count == [len(labels) for labels in state]

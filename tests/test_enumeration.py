@@ -26,9 +26,9 @@ from starchip import (
 )
 from starchip.core import (
     LabeledConfig,
+    _Replay,
     _board,
     _fire,
-    _fire_checked,
     _fireable,
     _outcome,
     _pack,
@@ -244,16 +244,19 @@ def _naive_vertex(v):
 @given(st.data())
 def test_packed_kernel_matches_object_model(data):
     # Random legal games, played in place through the packed kernel the
-    # drivers use, the checked fire the replays use, apply_move/legal_moves
-    # and the oracle's volmin filter side by side, from the board's start to
-    # the outcome read off the packed state.
+    # drivers use, the label-position state the replays use, apply_move/
+    # legal_moves and the oracle's volmin filter side by side, from the
+    # board's start to the outcome read off the packed state.
     k = data.draw(st.integers(min_value=1, max_value=9), label="k")
     m = data.draw(st.integers(min_value=1, max_value=9 // k), label="m")
     params = StarParams(k, m)
     board = _board(params)
     config = initial_labeled(params)
     state = [list(labels) for labels in board.start]
+    replayed = _Replay(board)
     while True:
+        assert replayed.state() == state
+        assert replayed.count == [len(labels) for labels in state]
         assert _unpack(params, state) == config
         assert _pack(config) == tuple(map(tuple, state))
         moves = legal_moves(config)
@@ -269,10 +272,8 @@ def test_packed_kernel_matches_object_model(data):
             break
         mv = data.draw(st.sampled_from(moves), label="move")
         config = apply_move(config, mv)
-        checked = [list(labels) for labels in state]
-        _fire_checked(board, checked, mv)
+        replayed.fire(board.slot[mv.vertex], mv)
         _fire(board, state, board.slot[mv.vertex], mv.chips)
-        assert checked == state
 
 
 def test_sweep_refuses_a_dead_end_before_the_last_layer():

@@ -5,6 +5,7 @@ import pytest
 
 from starchip import (
     CENTER,
+    IllegalMoveError,
     LogInconsistencyError,
     Move,
     SequenceLog,
@@ -15,6 +16,7 @@ from starchip import (
     endgame_positions,
     endgame_refs,
     make_strategy,
+    replay,
     stabilize_labeled,
     verify_branch_sorted,
     verify_mixing,
@@ -158,6 +160,30 @@ class TestVerifyPoset:
             "per-vertex fire counts {Vertex(branch=0, level=0): 2, Vertex(branch=1, level=1): 1, "
             "Vertex(branch=2, level=1): 1} disagree with the closed form {Vertex(branch=0, level=0): 3, "
             "Vertex(branch=1, level=1): 1, Vertex(branch=2, level=1): 1}"
+        )
+
+
+class TestOutOfRangeLabels:
+    # A replay that looks labels up by position must refuse a label outside
+    # 1..k*m before it looks: index -1 would read label k*m's slot.
+    HOLDS = "chips not present (vertex holds [1, 2, 3, 4, 5, 6, 7, 8, 9])"
+
+    @pytest.mark.parametrize("first", ["C:{0,1,2}", "C:{1,2,10}", Move(CENTER, (-1, 8, 9))])
+    def test_refused_by_the_verifier_and_by_replay(self, first):
+        log = det_log(3, 3)
+        if isinstance(first, str):  # a parsed log
+            log = SequenceLog.from_text(log.params, log.to_text().replace("C:{1,2,3}\n", first + "\n", 1))
+        else:  # built through the API
+            log = SequenceLog(log.params, (first,) + log.moves[1:])
+        bad = log.moves[0]
+        report = verify_poset(log)
+        assert [(v.rule, v.subject, v.detail) for v in report.violations] == [
+            ("illegal-replay", (0,), f"illegal move {bad}: {self.HOLDS}")
+        ]
+        with pytest.raises(IllegalMoveError) as refused:
+            replay(log.params, log.moves)
+        assert str(refused.value) == (
+            f"illegal move {bad} at step 1: {self.HOLDS}; state LabeledConfig(C:{{1,2,3,4,5,6,7,8,9}})"
         )
 
 
