@@ -12,7 +12,9 @@ Two games live on this board:
   routes the i-th smallest to branch i. A branch fire picks 2 chips and sends
   the smaller toward the center, the larger outward.
 
-Configurations are immutable values; firing produces a fresh configuration.
+An unlabeled configuration is an immutable value. The labeled game has one
+start, all k*m labels on the center, and one state representation, the
+packed state described above ``_State``, which a game fires in place.
 """
 from __future__ import annotations
 
@@ -20,8 +22,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Outcome = tuple[tuple[int, ...], ...]
 """Stable result of the labeled game: row i holds branch i's labels, center-outward."""
@@ -157,29 +158,7 @@ def parse_move(text: str) -> Move:
     return Move(vertex, chips)
 
 
-class _Config:
-    """What both configuration classes derive from ``count_at`` and their sorted
-    ``_key`` of (vertex, contents) pairs; configurations of two classes never match."""
-
-    __slots__ = ()
-
-    @property
-    def is_stable(self) -> bool:
-        return not any(True for _ in self.fireable_vertices())
-
-    def fireable_vertices(self) -> Iterator[Vertex]:
-        for v, _ in self._key:
-            if self.count_at(v) >= degree(self.params, v):
-                yield v
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.params == other.params and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash((self.params, self._key))
-
-
-class UnlabeledConfig(_Config):
+class UnlabeledConfig:
     """Sparse chip-count configuration: vertices absent from ``counts`` hold zero."""
 
     __slots__ = ("params", "counts", "_key")
@@ -203,56 +182,19 @@ class UnlabeledConfig(_Config):
     def total(self) -> int:
         return sum(self.counts.values())
 
+    @property
+    def is_stable(self) -> bool:
+        return all(c < degree(self.params, v) for v, c in self._key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, UnlabeledConfig) and self.params == other.params and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash((self.params, self._key))
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}:{c}" for v, c in self._key)
         return f"UnlabeledConfig({inner})"
-
-
-class LabeledConfig(_Config):
-    """Assignment of the labels 1..N to star vertices (sparse; N = k*m).
-
-    The label sets over all vertices always partition {1, .., N}: no label is
-    duplicated or missing. Values are immutable; use :func:`apply_move`.
-    """
-
-    __slots__ = ("params", "chips", "_key")
-
-    def __init__(self, params: StarParams, chips: Mapping[Vertex, Iterable[int]]):
-        clean: dict[Vertex, frozenset[int]] = {}
-        for v, labels in chips.items():
-            check_vertex(params, v)
-            s = frozenset(labels)
-            if s:
-                clean[v] = s
-        n = params.n_chips
-        if sorted(chain.from_iterable(clean.values())) != list(range(1, n + 1)):
-            raise ValueError(f"labels must partition 1..{n} exactly")
-        self.params = params
-        self.chips = clean
-        self._key = tuple(sorted((v, tuple(sorted(s))) for v, s in clean.items()))
-
-    def labels_at(self, v: Vertex) -> frozenset[int]:
-        return self.chips.get(v, frozenset())
-
-    def count_at(self, v: Vertex) -> int:
-        return len(self.chips.get(v, ()))
-
-    def to_unlabeled(self) -> UnlabeledConfig:
-        """Forget the labels, keeping chip counts."""
-        return UnlabeledConfig(self.params, {v: len(s) for v, s in self.chips.items()})
-
-    def key(self) -> tuple:
-        """Canonical hashable form: sorted (vertex, sorted labels) pairs."""
-        return self._key
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:{{{','.join(map(str, s))}}}" for v, s in self._key)
-        return f"LabeledConfig({inner})"
-
-
-def initial_labeled(params: StarParams) -> LabeledConfig:
-    """All labels 1..k*m stacked on the center: the labeled game's start."""
-    return LabeledConfig(params, {CENTER: range(1, params.n_chips + 1)})
 
 
 def initial_unlabeled(params: StarParams, n: int) -> UnlabeledConfig:
@@ -260,25 +202,6 @@ def initial_unlabeled(params: StarParams, n: int) -> UnlabeledConfig:
     if n < 0:
         raise ValueError(f"chip count must be >= 0, got {n}")
     return UnlabeledConfig(params, {CENTER: n})
-
-
-def is_stable(config: LabeledConfig | UnlabeledConfig) -> bool:
-    return config.is_stable
-
-
-def legal_moves(config: LabeledConfig) -> list[Move]:
-    """All legal single fires, in canonical order.
-
-    Vertices come center-first then by (branch, level); each vertex
-    contributes every size-degree subset of its chips in lexicographic order
-    of the sorted labels. Empty exactly when the configuration is stable.
-    """
-    moves: list[Move] = []
-    for v in config.fireable_vertices():
-        d = degree(config.params, v)
-        for chips in combinations(sorted(config.chips[v]), d):
-            moves.append(Move(v, chips))
-    return moves
 
 
 def _receivers(k: int, v: Vertex) -> tuple[Vertex, ...]:
@@ -295,10 +218,13 @@ def _check_fire(
     params: StarParams, v: Vertex, have: Iterable[int], fired: tuple[int, ...], d: int | None = None
 ) -> None:
     """The legality checks of firing ``fired`` at ``v`` while it holds the
-    labels ``have``, shared by :func:`apply_move` and :meth:`_Replay.fire`.
-    ``d`` is v's degree if the caller has it; otherwise it is looked up.
+    labels ``have``, which name what is wrong with a fire that
+    :meth:`_Replay.fire` refuses. ``d`` is v's degree if the caller has it;
+    otherwise it is looked up.
 
-    Raises IllegalMoveError, also for a vertex off the star."""
+    Raises IllegalMoveError, also for a vertex off the star and for a label
+    that is not an int, such as 1.0, which equals the label 1 (a bool
+    counts as an int)."""
     if d is None:
         try:
             d = degree(params, v)
@@ -306,31 +232,12 @@ def _check_fire(
             raise IllegalMoveError(v, fired, f"vertex is not on a star with k={params.k}") from None
     if len(fired) != d:
         raise IllegalMoveError(v, fired, f"must fire exactly {d} chips")
+    if not all(isinstance(c, int) for c in fired):
+        raise IllegalMoveError(v, fired, "chips must be int labels")
     if tuple(sorted(fired)) != fired or len(set(fired)) != d:
         raise IllegalMoveError(v, fired, "chips must be distinct and sorted")
     if not set(fired).issubset(have):
         raise IllegalMoveError(v, fired, f"chips not present (vertex holds {sorted(have)})")
-
-
-def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
-    """Fire one vertex, returning the new configuration.
-
-    Center fire: the i-th smallest fired label lands on branch i, level 1.
-    Branch fire at (i, j) with labels a < b: a moves inward (center when
-    j = 1), b moves outward to level j + 1.
-
-    Raises IllegalMoveError if the move is not legal here.
-    """
-    v, fired = move
-    params = config.params
-    have = config.labels_at(v)
-    _check_fire(params, v, have, fired)
-
-    new: dict[Vertex, frozenset[int]] = dict(config.chips)
-    new[v] = have.difference(fired)
-    for u, label in zip(_receivers(params.k, v), fired):
-        new[u] = new.get(u, frozenset()) | {label}
-    return LabeledConfig(params, new)
 
 
 # Packed state: what the exhaustive searches and the game drivers run on,
@@ -347,9 +254,8 @@ def apply_move(config: LabeledConfig, move: Move) -> LabeledConfig:
 # count of each slot, and a fire touches only the fired chips and the counts.
 # Started from k*m chips on the center, level m never fires (see _fire_count),
 # so no chip passes it and the slots cover every reachable state.
-# LabeledConfig is the checked public form; _pack and _unpack convert at the
-# edges. Every reader here only indexes slots and takes their length, so it
-# reads either form.
+# Every reader here only indexes slots and takes their length, so it reads
+# a tuple of tuples and a list of lists alike.
 
 _State = Sequence[Sequence[int]]
 
@@ -401,23 +307,6 @@ def _board(params: StarParams) -> _Board:
     )
 
 
-def _pack(config: LabeledConfig) -> _State:
-    """The packed state of a configuration. A chip past level m has no slot
-    and never comes back inside, so it raises ShapeError."""
-    board = _board(config.params)
-    state: list[tuple[int, ...]] = [()] * len(board.vertex)
-    for v, labels in config.chips.items():
-        if v not in board.slot:  # LabeledConfig keeps v on the star, so v.level > m
-            raise ShapeError(f"chips lie past level {config.params.m}, so no game from here ends in the stable shape")
-        state[board.slot[v]] = tuple(sorted(labels))
-    return tuple(state)
-
-
-def _unpack(params: StarParams, state: _State) -> LabeledConfig:
-    """Validate a packed state back into a configuration."""
-    return LabeledConfig(params, dict(zip(_board(params).vertex, state)))
-
-
 def _fireable(board: _Board, state: _State) -> list[int]:
     """Slots that can fire, in canonical vertex order."""
     deg = board.deg
@@ -425,8 +314,10 @@ def _fireable(board: _Board, state: _State) -> list[int]:
 
 
 def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...]) -> None:
-    """Unchecked :func:`apply_move` in place on a game's packed state:
-    ``chips`` must be a sorted size-degree subset of slot ``s``'s labels.
+    """Fire ``chips`` at slot ``s`` in place on a game's packed state, by
+    the routing rule of :func:`_receivers`: the i-th smallest chip goes to
+    the slot's i-th receiver. ``chips`` must be a sorted size-degree subset
+    of slot ``s``'s labels.
 
     Only slot ``s`` and its receivers change. Nothing is checked here:
     fired labels that ``s`` does not hold are still routed, and ``s`` loses
@@ -442,12 +333,13 @@ class _Replay:
     slot of label c (``where[0]`` is unused) and ``count[s]`` the number of
     chips on slot s. The board's tables ride along for :meth:`fire`.
 
-    :meth:`fire` accepts exactly the moves :func:`apply_move` accepts and
-    refuses the others with its IllegalMoveError text, as the differential
-    test in ``tests/test_core.py`` pins; a refused move leaves the state as
-    it was. From the all-on-center start, level m never holds two chips
-    (level m-1 fires once in every stabilization, and no legal sequence
-    fires a vertex more often), so no fire there is accepted."""
+    :meth:`fire` accepts exactly the legal moves and refuses the others
+    with :func:`_check_fire`'s IllegalMoveError text, as the differential
+    test against the reference model in ``tests/oracles.py`` pins; a
+    refused move leaves the state as it was. From the all-on-center start,
+    level m never holds two chips (level m-1 fires once in every
+    stabilization, and no legal sequence fires a vertex more often), so no
+    fire there is accepted."""
 
     __slots__ = ("board", "deg", "routes", "n", "where", "count")
 
@@ -464,23 +356,27 @@ class _Replay:
         which every caller has at hand.
 
         A fire is legal when its vertex has a slot, it names degree-many
-        chips in a tuple, they strictly increase within 1..k*m, and each
-        sits on the slot. Only a refused fire lists the slot's labels, in
-        ascending order, for :func:`_check_fire` to name what is wrong."""
+        chips in a tuple, they are ints that strictly increase within
+        1..k*m, and each sits on the slot. Only a refused fire lists the
+        slot's labels, in ascending order, for :func:`_check_fire` to name
+        what is wrong."""
         v, chips = move
         where, count = self.where, self.count
         if s is not None and isinstance(chips, tuple) and len(chips) == self.deg[s]:
             last = 0
-            for c in chips:
-                if not last < c <= self.n or where[c] != s:
-                    break
-                last = c
-            else:
-                count[s] -= len(chips)
-                for u, c in zip(self.routes[s], chips):
-                    where[c] = u
-                    count[u] += 1
-                return
+            try:
+                for c in chips:
+                    if not last < c <= self.n or where[c] != s:
+                        break
+                    last = c
+                else:
+                    count[s] -= len(chips)
+                    for u, c in zip(self.routes[s], chips):
+                        where[c] = u
+                        count[u] += 1
+                    return
+            except TypeError:  # a label that is not an int cannot index where
+                pass
         if s is None:
             _check_fire(self.board.params, v, (), chips)
         else:
@@ -542,12 +438,6 @@ def _outcome(board: _Board, state: _State) -> Outcome:
     if sorted(c for row in outcome for c in row) != list(range(1, n + 1)):
         raise ShapeError(f"the labels are not 1..{n}, each once")
     return outcome
-
-
-def canonical_outcome(config: LabeledConfig) -> Outcome:
-    """Read a stabilized configuration off as a k x m label matrix, with the
-    checks of :func:`_outcome`."""
-    return _outcome(_board(config.params), _pack(config))
 
 
 def outcome_to_text(outcome: Outcome) -> str:

@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 from .core import (
     CENTER,
     IllegalMoveError,
-    LabeledConfig,
     Move,
     Outcome,
     ShapeError,
@@ -51,7 +50,6 @@ from .core import (
     _fireable,
     _outcome,
     _receivers,
-    _unpack,
     degree,
     parse_move,
 )
@@ -366,16 +364,20 @@ def fork_trials(params: StarParams, trials: int, summarize: Callable[[range], _S
     return [first, *forked, *rest]
 
 
-def replay(params: StarParams, moves: Iterable[Move]) -> tuple[Outcome | LabeledConfig, SequenceLog]:
+def replay(
+    params: StarParams, moves: Iterable[Move]
+) -> tuple[Outcome | dict[Vertex, tuple[int, ...]], SequenceLog]:
     """Apply a scripted move list starting from all chips on the center.
 
-    Returns (outcome, log) when the script ends stable, else (config, log).
-    An illegal move raises IllegalMoveError naming the 1-based step and the
-    configuration it was attempted on. The replay holds a ``core._Replay``,
-    the slot of each label and the chip count of each slot, whose fires
-    accept exactly the moves :func:`starchip.core.apply_move` accepts, with
-    its error texts; the per-slot label lists are built once, at the end or
-    at the refused move.
+    Returns (outcome, log) when the script ends stable. Otherwise it returns
+    (held, log), where ``held`` maps each vertex that holds chips, in
+    canonical vertex order, to its labels in ascending order. An illegal
+    move raises IllegalMoveError naming the 1-based step and the state it
+    was attempted on, written as ``state C:{3,4}, B(1,1):{1}``. The replay
+    holds a ``core._Replay``, the slot of each label and the chip count of
+    each slot, whose fires refuse an illegal move with
+    ``core._check_fire``'s text; the per-slot label lists are built once,
+    at the end or at the refused move.
     """
     board = _board(params)
     slot = board.slot
@@ -385,11 +387,18 @@ def replay(params: StarParams, moves: Iterable[Move]) -> tuple[Outcome | Labeled
         try:
             played.fire(slot.get(mv.vertex), mv)
         except IllegalMoveError as e:
-            config = _unpack(params, played.state())
-            raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {config!r}", step=t) from None
+            held = _held(board, played.state())
+            text = ", ".join(f"{v}:{{{','.join(map(str, labels))}}}" for v, labels in held.items())
+            raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {text}", step=t) from None
     state = played.state()
     log = SequenceLog(params, moves)
     try:
         return _outcome(board, state), log
     except ShapeError:  # from this start, every state but the stable shape is unstable
-        return _unpack(params, state), log
+        return _held(board, state), log
+
+
+def _held(board: _Board, state: _State) -> dict[Vertex, tuple[int, ...]]:
+    """The vertices of a packed state that hold chips, in canonical vertex
+    order, with their labels."""
+    return {v: tuple(labels) for v, labels in zip(board.vertex, state) if labels}

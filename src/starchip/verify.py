@@ -83,8 +83,8 @@ def endgame_refs(params: StarParams) -> list[FireRef]:
 def _endgame_walk(log: SequenceLog, board: _Board) -> tuple[list[list[int]], list[Violation]]:
     """Read the log once, front to back, replaying it from ``_Board.start``
     on a ``core._Replay``: the slot of each label and the chip count of each
-    slot, which is all the checks read. Its fires accept exactly the moves
-    ``apply_move`` accepts, with the same error texts.
+    slot, which is all the checks read. Its fires refuse an illegal move
+    with ``core._check_fire``'s text.
 
     The closed-form counts say in advance which fires are endgame fires: a
     slot's f-th fire from the end is the one that leaves f of its fires to

@@ -79,6 +79,58 @@ def _naive_apply(cfg, move, k):
     return {u: frozenset(s) for u, s in new.items() if s}
 
 
+def naive_vertex(v):
+    """A vertex in the oracle's form, ``"C"`` or ``(branch, level)``, from
+    any pair such as the package's ``Vertex``; the center is (0, 0)."""
+    return CENTER if tuple(v) == (0, 0) else tuple(v)
+
+
+def naive_refusal(cfg, move, k):
+    """Why ``move`` may not fire on ``cfg``, as the package words it, or
+    None when it may. ``move`` is ``(vertex, chips)`` with the vertex in the
+    oracle's form. The rules, in the order they are checked: the vertex is
+    on the star, the move fires exactly the vertex's degree in chips, every
+    chip is an int (a bool is one), the chips strictly increase in a tuple,
+    and the vertex holds each of them."""
+    v, fired = move
+    if v != CENTER and not (1 <= v[0] <= k and v[1] >= 1):
+        return f"vertex is not on a star with k={k}"
+    deg = k if v == CENTER else 2
+    if len(fired) != deg:
+        return f"must fire exactly {deg} chips"
+    if any(not isinstance(c, int) for c in fired):
+        return "chips must be int labels"
+    if not isinstance(fired, tuple) or any(a >= b for a, b in zip(fired, fired[1:])):
+        return "chips must be distinct and sorted"
+    held = sorted(cfg.get(v, ()))
+    if any(c not in held for c in fired):
+        return f"chips not present (vertex holds {held})"
+    return None
+
+
+def naive_replay(k, m, moves):
+    """Play ``moves``, ``(vertex, chips)`` pairs with the vertex as any pair
+    (see :func:`naive_vertex`), from all labels on the center. Returns the
+    first move the rules of :func:`naive_refusal` refuse, as its 1-based
+    step, the configuration it was tried on and the reason, or None."""
+    cfg = {CENTER: frozenset(range(1, k * m + 1))}
+    for t, (v, chips) in enumerate(moves, start=1):
+        move = (naive_vertex(v), chips)
+        reason = naive_refusal(cfg, move, k)
+        if reason is not None:
+            return t, cfg, reason
+        cfg = _naive_apply(cfg, move, k)
+    return None
+
+
+def naive_state_text(cfg) -> str:
+    """``cfg`` as the package names a state in its errors, vertices in
+    canonical order: ``C:{3,4}, B(1,1):{1}, B(2,1):{2}``."""
+    order = sorted(cfg, key=lambda x: (0,) if x == CENTER else (1,) + x)
+    names = {v: "C" if v == CENTER else f"B({v[0]},{v[1]})" for v in order}
+    return ", ".join(f"{names[v]}:{{{','.join(map(str, sorted(cfg[v])))}}}" for v in order if cfg[v])
+
+
 def naive_sequence_counts(k: int, m: int) -> Counter:
     """Walk every maximal move sequence from the all-on-center start and
     tally final outcomes. No memoization: cost is the number of sequences."""

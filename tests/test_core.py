@@ -1,6 +1,6 @@
 import math
 import random
-from collections import defaultdict
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,32 +8,49 @@ from hypothesis import assume, given, settings, strategies as st
 from starchip import (
     CENTER,
     IllegalMoveError,
-    LabeledConfig,
     Move,
     ShapeError,
     StarParams,
     UnlabeledConfig,
     Vertex,
-    apply_move,
     branch_vertex,
-    canonical_outcome,
     degree,
-    initial_labeled,
     initial_unlabeled,
-    is_stable,
     is_totally_sorted,
-    legal_moves,
     outcome_from_text,
     outcome_to_text,
     parse_move,
     parse_vertex,
     totally_sorted_outcome,
 )
-from starchip.core import _Replay, _board, _outcome, _pack, _unpack
+from starchip.core import _Replay, _board, _fire, _fireable, _outcome
+
+from oracles import _naive_apply, _naive_moves, naive_refusal, naive_vertex
 
 
-def labeled(params: StarParams, placement: dict) -> LabeledConfig:
-    return LabeledConfig(params, placement)
+def packed(params: StarParams, placement: dict) -> list[list[int]]:
+    """The packed state that holds ``placement``'s labels, each slot's in
+    ascending order; every vertex must have a slot."""
+    board = _board(params)
+    state = [[] for _ in board.vertex]
+    for v, labels in placement.items():
+        state[board.slot[v]] = sorted(labels)
+    return state
+
+
+def moves_on(board, state) -> list[Move]:
+    """Every fire the packed kernel allows on ``state``, in canonical order."""
+    return [Move(board.vertex[s], chips) for s in _fireable(board, state) for chips in combinations(state[s], board.deg[s])]
+
+
+def test_star_import_binds_every_public_name():
+    # a name left in __all__ after its object is gone fails the star import
+    import starchip
+
+    namespace: dict = {}
+    exec("from starchip import *", namespace)
+    assert len(set(starchip.__all__)) == len(starchip.__all__)
+    assert all(namespace[name] is getattr(starchip, name) for name in starchip.__all__)
 
 
 class TestVertexAndParams:
@@ -75,28 +92,11 @@ class TestVertexAndParams:
 
 
 class TestConfigs:
-    def test_initial_labeled(self):
-        cfg = initial_labeled(StarParams(2, 2))
-        assert cfg.labels_at(CENTER) == frozenset({1, 2, 3, 4})
-        assert cfg.labels_at(Vertex(1, 1)) == frozenset()
-        big = initial_labeled(StarParams(3, 3))
-        assert big.labels_at(CENTER) == frozenset(range(1, 10))
-        assert initial_labeled(StarParams(1, 1)).labels_at(CENTER) == frozenset({1})
-
     def test_initial_unlabeled(self):
         assert initial_unlabeled(StarParams(2, 2), 4).count_at(CENTER) == 4
         assert initial_unlabeled(StarParams(3, 2), 7).count_at(CENTER) == 7
         empty = initial_unlabeled(StarParams(1, 1), 0)
         assert empty.total == 0 and empty.is_stable
-
-    def test_labeled_partition_enforced(self):
-        p = StarParams(2, 1)
-        with pytest.raises(ValueError):
-            LabeledConfig(p, {CENTER: {1, 1, 3}})  # not 1..2
-        with pytest.raises(ValueError):
-            LabeledConfig(p, {CENTER: {1}})  # missing 2
-        with pytest.raises(ValueError):
-            LabeledConfig(p, {CENTER: {1, 2}, Vertex(1, 1): {2}})  # duplicate
 
     def test_unlabeled_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -104,38 +104,36 @@ class TestConfigs:
 
     def test_config_equality_and_hash(self):
         p = StarParams(2, 1)
-        a = labeled(p, {CENTER: {1}, Vertex(1, 1): {2}})
-        b = labeled(p, {Vertex(1, 1): {2}, CENTER: {1}})
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a.key() == b.key()
-        u = UnlabeledConfig(p, {Vertex(1, 1): 1, CENTER: 1})
-        assert u == a.to_unlabeled() and hash(u) == hash(a.to_unlabeled())
-        assert u != a and a != u
+        a = UnlabeledConfig(p, {CENTER: 1, Vertex(1, 1): 2})
+        b = UnlabeledConfig(p, {Vertex(1, 1): 2, CENTER: 1, Vertex(2, 1): 0})
+        assert a == b and hash(a) == hash(b)
+        assert a != UnlabeledConfig(p, {CENTER: 1, Vertex(2, 1): 2})
+        assert a != UnlabeledConfig(StarParams(2, 2), {CENTER: 1, Vertex(1, 1): 2})
+        assert a != ((CENTER, 1), (Vertex(1, 1), 2))
 
     def test_is_stable(self):
         p = StarParams(2, 2)
-        stable = labeled(p, {Vertex(i, j): {2 * (i - 1) + j} for i in (1, 2) for j in (1, 2)})
-        assert is_stable(stable)
-        assert not is_stable(initial_labeled(p))
-        one_chip_center = labeled(
-            StarParams(2, 2), {CENTER: {1}, Vertex(1, 1): {2}, Vertex(1, 2): {3}, Vertex(2, 1): {4}}
-        )
-        assert is_stable(one_chip_center)
+        assert UnlabeledConfig(p, {Vertex(i, j): 1 for i in (1, 2) for j in (1, 2)}).is_stable
+        assert not initial_unlabeled(p, 4).is_stable
+        assert not UnlabeledConfig(p, {Vertex(2, 3): 2}).is_stable
+        one_chip_center = UnlabeledConfig(p, {CENTER: 1, Vertex(1, 1): 1, Vertex(1, 2): 1, Vertex(2, 1): 1})
+        assert one_chip_center.is_stable
 
 
 class TestLegalMoves:
+    # the fires the packed kernel lists: the slots _fireable names, each
+    # with every degree-size subset of its labels
     def test_single_branch_singletons(self):
-        cfg = initial_labeled(StarParams(1, 2))
-        assert legal_moves(cfg) == [Move(CENTER, (1,)), Move(CENTER, (2,))]
+        board = _board(StarParams(1, 2))
+        assert moves_on(board, board.start) == [Move(CENTER, (1,)), Move(CENTER, (2,))]
 
     def test_full_center_subset_count(self):
-        cfg = initial_labeled(StarParams(3, 3))
-        assert len(legal_moves(cfg)) == math.comb(9, 3)
+        board = _board(StarParams(3, 3))
+        assert len(moves_on(board, board.start)) == math.comb(9, 3)
 
     def test_overfull_branch_vertex(self):
         p = StarParams(3, 3)
-        cfg = labeled(
+        state = packed(
             p,
             {
                 CENTER: {1, 2},
@@ -146,92 +144,83 @@ class TestLegalMoves:
                 Vertex(2, 2): {8},
             },
         )
-        moves = legal_moves(cfg)
+        moves = moves_on(_board(p), state)
         assert len(moves) == math.comb(3, 2)
         assert all(mv.vertex == Vertex(1, 1) for mv in moves)
         assert [mv.chips for mv in moves] == [(3, 7), (3, 9), (7, 9)]
 
     def test_empty_iff_stable(self):
         p = StarParams(2, 2)
-        stable = labeled(p, {Vertex(i, j): {2 * (i - 1) + j} for i in (1, 2) for j in (1, 2)})
-        assert legal_moves(stable) == []
+        stable = packed(p, {Vertex(i, j): {2 * (i - 1) + j} for i in (1, 2) for j in (1, 2)})
+        assert moves_on(_board(p), stable) == []
 
 
 class TestApplyMove:
+    # one fire of the packed kernel, core._fire, on a hand-built state
+    @staticmethod
+    def fire(params: StarParams, placement: dict, move: Move) -> dict:
+        board = _board(params)
+        state = packed(params, placement)
+        _fire(board, state, board.slot[move.vertex], move.chips)
+        return {v: set(labels) for v, labels in zip(board.vertex, state) if labels}
+
     def test_center_fire_routes_by_rank(self):
-        cfg = initial_labeled(StarParams(3, 3))
-        nxt = apply_move(cfg, Move(CENTER, (1, 2, 3)))
-        assert nxt.labels_at(Vertex(1, 1)) == {1}
-        assert nxt.labels_at(Vertex(2, 1)) == {2}
-        assert nxt.labels_at(Vertex(3, 1)) == {3}
-        assert nxt.labels_at(CENTER) == frozenset(range(4, 10))
+        p = StarParams(3, 3)
+        after = self.fire(p, {CENTER: range(1, 10)}, Move(CENTER, (1, 2, 3)))
+        assert after == {Vertex(1, 1): {1}, Vertex(2, 1): {2}, Vertex(3, 1): {3}, CENTER: set(range(4, 10))}
 
     def test_level_one_fire_sends_small_to_center(self):
         p = StarParams(3, 3)
-        cfg = labeled(
-            p,
-            {
-                CENTER: {2, 3, 5, 6, 8},
-                Vertex(1, 1): {1, 7},
-                Vertex(2, 1): {4},
-                Vertex(3, 1): {9},
-            },
-        )
-        nxt = apply_move(cfg, Move(Vertex(1, 1), (1, 7)))
-        assert 1 in nxt.labels_at(CENTER)
-        assert nxt.labels_at(Vertex(1, 2)) == {7}
-        assert nxt.labels_at(Vertex(1, 1)) == frozenset()
+        placement = {CENTER: {2, 3, 5, 6, 8}, Vertex(1, 1): {1, 7}, Vertex(2, 1): {4}, Vertex(3, 1): {9}}
+        after = self.fire(p, placement, Move(Vertex(1, 1), (1, 7)))
+        assert 1 in after[CENTER]
+        assert after[Vertex(1, 2)] == {7}
+        assert Vertex(1, 1) not in after
 
     def test_deep_branch_fire(self):
-        p = StarParams(2, 3)
-        cfg = labeled(
-            p,
-            {
-                CENTER: {1, 2, 3, 5},
-                Vertex(2, 3): {4, 6},
-            },
-        )
-        nxt = apply_move(cfg, Move(Vertex(2, 3), (4, 6)))
-        assert nxt.labels_at(Vertex(2, 2)) == {4}
-        assert nxt.labels_at(Vertex(2, 4)) == {6}
+        # level 3 fires only below level m, so the board has m = 4
+        p = StarParams(2, 4)
+        after = self.fire(p, {CENTER: {1, 2, 3, 5, 7, 8}, Vertex(2, 3): {4, 6}}, Move(Vertex(2, 3), (4, 6)))
+        assert after[Vertex(2, 2)] == {4}
+        assert after[Vertex(2, 4)] == {6}
 
     def test_illegal_move_reports_vertex_and_chips(self):
-        cfg = initial_labeled(StarParams(2, 2))
-        with pytest.raises(IllegalMoveError) as err:
-            apply_move(cfg, Move(Vertex(1, 1), (1, 2)))
-        assert err.value.vertex == Vertex(1, 1)
-        assert err.value.chips == (1, 2)
-        with pytest.raises(IllegalMoveError):
-            apply_move(cfg, Move(CENTER, (1,)))  # wrong size
-        with pytest.raises(IllegalMoveError):
-            apply_move(cfg, Move(CENTER, (2, 1)))  # unsorted
-        with pytest.raises(IllegalMoveError) as err:
-            apply_move(cfg, Move(Vertex(3, 1), (1, 2)))  # branch past k
-        assert err.value.vertex == Vertex(3, 1)
-        assert err.value.reason == "vertex is not on a star with k=2"
+        # a replay from the start refuses each of these, by _check_fire's reasons
+        board = _board(StarParams(2, 2))
+        replayed = _Replay(board)
+
+        def refuse(move: Move) -> IllegalMoveError:
+            with pytest.raises(IllegalMoveError) as err:
+                replayed.fire(board.slot.get(move.vertex), move)
+            return err.value
+
+        err = refuse(Move(Vertex(1, 1), (1, 2)))
+        assert err.vertex == Vertex(1, 1)
+        assert err.chips == (1, 2)
+        assert refuse(Move(CENTER, (1,))).reason == "must fire exactly 2 chips"
+        assert refuse(Move(CENTER, (2, 1))).reason == "chips must be distinct and sorted"
+        assert refuse(Move(CENTER, (1.0, 2))).reason == "chips must be int labels"
+        err = refuse(Move(Vertex(3, 1), (1, 2)))  # branch past k
+        assert err.vertex == Vertex(3, 1)
+        assert err.reason == "vertex is not on a star with k=2"
+        assert replayed.state() == [[1, 2, 3, 4], [], [], [], []]
 
 
 class TestCanonicalOutcome:
+    # core._outcome on packed states written out slot by slot
     def test_filled_three_branch_outcome(self):
         p = StarParams(3, 3)
         rows = ((1, 4, 7), (2, 3, 8), (5, 6, 9))
-        cfg = labeled(p, {Vertex(i + 1, j + 1): {rows[i][j]} for i in range(3) for j in range(3)})
-        assert canonical_outcome(cfg) == rows
+        state = packed(p, {Vertex(i + 1, j + 1): {rows[i][j]} for i in range(3) for j in range(3)})
+        assert _outcome(_board(p), state) == rows
 
     def test_tiny(self):
-        cfg = labeled(StarParams(1, 1), {Vertex(1, 1): {1}})
-        assert canonical_outcome(cfg) == ((1,),)
+        assert _outcome(_board(StarParams(1, 1)), ((), (1,))) == ((1,),)
 
     def test_unstable_raises(self):
-        with pytest.raises(ShapeError):
-            canonical_outcome(initial_labeled(StarParams(2, 2)))
-
-    def test_stable_wrong_shape_raises(self):
-        p = StarParams(2, 2)
-        cfg = labeled(p, {Vertex(1, 1): {1}, Vertex(1, 2): {2}, Vertex(1, 3): {3}, Vertex(2, 1): {4}})
-        assert cfg.is_stable
-        with pytest.raises(ShapeError, match="past level 2"):
-            canonical_outcome(cfg)
+        board = _board(StarParams(2, 2))
+        with pytest.raises(ShapeError, match="not stable"):
+            _outcome(board, board.start)
 
 
 class TestOutcomeReadOff:
@@ -295,64 +284,65 @@ class TestTotallySorted:
         assert not is_totally_sorted(((1, 3), (2, 4)))
 
 
-# Randomized invariants of the single-move dynamics.
+# Randomized invariants of the packed kernel's single fire.
 
 @st.composite
-def config_with_move(draw):
+def state_with_fire(draw):
+    """A packed state with any labels on any slots, and a fire that
+    ``_fireable`` allows on it, as (board, state, slot, chips)."""
     k = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.integers(min_value=1, max_value=3))
-    params = StarParams(k, m)
-    pool = [CENTER] + [Vertex(i, j) for i in range(1, k + 1) for j in range(1, m + 2)]
+    board = _board(StarParams(k, m))
     placement = draw(
-        st.lists(st.sampled_from(pool), min_size=params.n_chips, max_size=params.n_chips)
+        st.lists(st.integers(0, len(board.vertex) - 1), min_size=board.params.n_chips, max_size=board.params.n_chips)
     )
-    chips = defaultdict(set)
-    for label, v in enumerate(placement, start=1):
-        chips[v].add(label)
-    config = LabeledConfig(params, chips)
-    moves = legal_moves(config)
-    assume(moves)
-    return config, draw(st.sampled_from(moves))
+    state = [[] for _ in board.vertex]
+    for label, s in enumerate(placement, start=1):
+        state[s].append(label)
+    fireable = _fireable(board, state)
+    assume(fireable)
+    s = draw(st.sampled_from(fireable))
+    chips = draw(st.sampled_from(list(combinations(state[s], board.deg[s]))))
+    return board, state, s, chips
 
 
-@given(config_with_move())
+def _fired(board, state, s, chips) -> list[list[int]]:
+    after = [list(labels) for labels in state]
+    _fire(board, after, s, chips)
+    return after
+
+
+@given(state_with_fire())
 def test_chip_conservation(case):
-    config, mv = case
-    before = {c for s in config.chips.values() for c in s}
-    after_cfg = apply_move(config, mv)
-    after = {c for s in after_cfg.chips.values() for c in s}
-    assert before == after == set(range(1, config.params.n_chips + 1))
+    board, state, s, chips = case
+    after = _fired(*case)
+    assert sorted(c for labels in after for c in labels) == list(range(1, board.params.n_chips + 1))
+    assert all(labels == sorted(labels) for labels in after)
 
 
-@given(config_with_move())
+@given(state_with_fire())
 def test_locality(case):
-    config, mv = case
-    after = apply_move(config, mv)
-    v = mv.vertex
+    board, state, s, chips = case
+    after = _fired(*case)
+    v = board.vertex[s]
     if v.is_center:
-        allowed = {CENTER} | {Vertex(i, 1) for i in range(1, config.params.k + 1)}
+        allowed = {CENTER} | {Vertex(i, 1) for i in range(1, board.params.k + 1)}
     else:
         inner = CENTER if v.level == 1 else Vertex(v.branch, v.level - 1)
         allowed = {v, inner, Vertex(v.branch, v.level + 1)}
-    changed = {
-        u
-        for u in set(config.chips) | set(after.chips)
-        if config.labels_at(u) != after.labels_at(u)
-    }
+    changed = {board.vertex[t] for t in range(len(state)) if state[t] != after[t]}
     assert changed <= allowed
 
 
-@given(config_with_move())
+@given(state_with_fire())
 def test_projection_onto_unlabeled_game(case):
-    config, mv = case
-    params = config.params
-    after_labeled = apply_move(config, mv).to_unlabeled()
+    board, state, s, chips = case
+    params = board.params
+    after_counts = UnlabeledConfig(params, {v: len(labels) for v, labels in zip(board.vertex, _fired(*case))})
 
-    counts = dict(config.to_unlabeled().counts)
-    v = mv.vertex
+    counts = {v: len(labels) for v, labels in zip(board.vertex, state)}
+    v = board.vertex[s]
     counts[v] -= degree(params, v)
-    if counts[v] == 0:
-        del counts[v]
     if v.is_center:
         receivers = [Vertex(i, 1) for i in range(1, params.k + 1)]
     else:
@@ -362,35 +352,30 @@ def test_projection_onto_unlabeled_game(case):
         ]
     for u in receivers:
         counts[u] = counts.get(u, 0) + 1
-    assert after_labeled == UnlabeledConfig(params, counts)
+    assert after_counts == UnlabeledConfig(params, counts)
 
 
-@given(config_with_move())
-def test_legal_moves_deterministic(case):
-    config, _ = case
-    twin = LabeledConfig(config.params, {v: set(s) for v, s in config.chips.items()})
-    assert legal_moves(config) == legal_moves(twin)
-    moves = legal_moves(config)
-    assert moves == sorted(moves)
+# The replay's checked fire on label positions against the oracle's rules.
 
-
-# The replay's checked fire on label positions against apply_move.
-
-def _move_to_try(rnd: random.Random, config: LabeledConfig) -> Move:
-    """A move on ``config`` that is legal or wrong in one of several ways:
-    the vertex may sit on level m, past it or on a branch past k, and the
-    chips may be too few or too many, unsorted, repeated, absent, out of
-    1..k*m, or a list instead of a tuple."""
-    k, m, n = config.params.k, config.params.m, config.params.n_chips
+def _move_to_try(rnd: random.Random, cfg: dict, k: int, m: int) -> Move:
+    """A move on the oracle's configuration ``cfg`` that is legal or wrong
+    in one of several ways: the vertex may sit on level m, past it or on a
+    branch past k, and the chips may be too few or too many, unsorted,
+    repeated, absent, out of 1..k*m, not ints, or a list instead of a
+    tuple."""
+    n = k * m
     i = rnd.randint(1, k)
-    v = rnd.choice(sorted(config.chips) + [Vertex(i, m), Vertex(i, m + 1), Vertex(k + 1, 1)])
+    held_at = sorted(CENTER if v == "C" else Vertex(*v) for v in cfg)
+    v = rnd.choice(held_at + [Vertex(i, m), Vertex(i, m + 1), Vertex(k + 1, 1)])
     d = k if v.is_center else 2
-    held = sorted(config.labels_at(v))
+    held = sorted(cfg.get(naive_vertex(v), ()))
 
     def some(labels: list[int], size: int) -> list[int]:
         return sorted(rnd.sample(labels, min(max(size, 0), len(labels))))
 
-    kind = rnd.choice(["held", "wrong size", "unsorted", "duplicate", "absent chip", "out of range", "list"])
+    kind = rnd.choice(
+        ["held", "wrong size", "unsorted", "duplicate", "absent chip", "out of range", "not an int", "list"]
+    )
     if kind == "wrong size":
         chips = some(held, rnd.choice([d - 1, d + 1]))
     elif kind == "unsorted":
@@ -402,6 +387,11 @@ def _move_to_try(rnd: random.Random, config: LabeledConfig) -> Move:
         chips = some(list(range(1, n + 1)), d)
     elif kind == "out of range":
         chips = sorted(some(held, d - 1) + [rnd.choice([-1, 0, n + 1])])
+    elif kind == "not an int":
+        chips = some(held, d)
+        if chips:
+            at = rnd.randrange(len(chips))
+            chips[at] = rnd.choice([float(chips[at]), chips[at] + 0.5, str(chips[at])])
     else:
         chips = some(held, d)
     return Move(v, chips if kind == "list" else tuple(chips))
@@ -409,27 +399,31 @@ def _move_to_try(rnd: random.Random, config: LabeledConfig) -> Move:
 
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
-def test_replay_fire_matches_apply_move(k, m, rnd):
+def test_replay_fire_matches_the_oracle(k, m, rnd):
     # Games from the start where each step tries a legal move or a broken
-    # one: the replay accepts exactly what apply_move accepts, refuses the
-    # rest with the same text and an unchanged state, and holds the same
-    # configuration after every step.
+    # one: the replay accepts exactly what tests/oracles.py's rules accept,
+    # refuses the rest with the oracle's reason and an unchanged state, and
+    # holds the oracle's configuration after every step.
     params = StarParams(k, m)
     board = _board(params)
-    config = initial_labeled(params)
+    cfg = {"C": frozenset(range(1, k * m + 1))}
     replayed = _Replay(board)
-    while moves := legal_moves(config):
-        mv = rnd.choice(moves) if rnd.random() < 0.5 else _move_to_try(rnd, config)
-        try:
-            after = apply_move(config, mv)
-        except IllegalMoveError as e:
+    while moves := _naive_moves(cfg, k):
+        if rnd.random() < 0.5:
+            v, chips = rnd.choice(moves)
+            mv = Move(CENTER if v == "C" else Vertex(*v), chips)
+        else:
+            mv = _move_to_try(rnd, cfg, k, m)
+        naive = (naive_vertex(mv.vertex), mv.chips)
+        reason = naive_refusal(cfg, naive, k)
+        if reason is None:
+            replayed.fire(board.slot.get(mv.vertex), mv)
+            cfg = _naive_apply(cfg, naive, k)
+        else:
             with pytest.raises(IllegalMoveError) as refused:
                 replayed.fire(board.slot.get(mv.vertex), mv)
-            assert str(refused.value) == str(e)
-        else:
-            replayed.fire(board.slot.get(mv.vertex), mv)
-            config = after
+            assert str(refused.value) == str(IllegalMoveError(mv.vertex, mv.chips, reason))
+        assert {naive_vertex(v) for v in board.vertex} >= set(cfg)
         state = replayed.state()
-        assert _unpack(params, state) == config
-        assert state == [list(labels) for labels in _pack(config)]
+        assert state == [sorted(cfg.get(naive_vertex(v), ())) for v in board.vertex]
         assert replayed.count == [len(labels) for labels in state]

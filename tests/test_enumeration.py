@@ -12,11 +12,8 @@ from starchip import (
     StarParams,
     Tableau,
     Vertex,
-    apply_move,
     enumerate_all,
     enumerate_volmin,
-    initial_labeled,
-    legal_moves,
     reachable_set,
     to_outcome,
     generate_syts,
@@ -24,23 +21,16 @@ from starchip import (
     verify_branch_sorted,
     verify_rim_sorted,
 )
-from starchip.core import (
-    LabeledConfig,
-    _Replay,
-    _board,
-    _fire,
-    _fireable,
-    _outcome,
-    _pack,
-    _unpack,
-    _volmin_fireable,
-)
+from starchip.core import _Replay, _board, _fire, _fireable, _outcome, _volmin_fireable
 from starchip.enumeration import _sweep
 from oracles import (
+    _naive_apply,
+    _naive_moves,
     naive_sequence_counts,
     naive_total_sequences,
     naive_volmin_moves,
     naive_volmin_outcomes,
+    naive_vertex,
     rrs_fillings,
 )
 
@@ -166,35 +156,28 @@ class TestReachableSet:
 
 
 class TestVolminFilter:
+    # Packed states slot by slot: slot 0 is the center, then branch 1's
+    # levels 1..m, then branch 2's.
     def test_only_center_fireable_passes_through(self):
         board = _board(StarParams(2, 2))
-        state = _pack(initial_labeled(StarParams(2, 2)))
+        state = ((1, 2, 3, 4), (), (), (), ())
         assert _volmin_fireable(board, state) == _fireable(board, state) == [0]
 
     def test_level_one_wave_after_two_center_fires(self):
-        cfg = initial_labeled(StarParams(2, 2))
-        cfg = apply_move(cfg, Move(CENTER, (1, 2)))
-        cfg = apply_move(cfg, Move(CENTER, (3, 4)))
-        board = _board(cfg.params)
-        slots = _volmin_fireable(board, _pack(cfg))
+        # C:{1,2} then C:{3,4}
+        board = _board(StarParams(2, 2))
+        slots = _volmin_fireable(board, ((), (1, 3), (), (2, 4), ()))
         assert {board.vertex[s] for s in slots} == {Vertex(1, 1), Vertex(2, 1)}
 
     def test_tie_broken_toward_outer_vertex(self):
         # Firing either ready vertex leaves one ready vertex. Level m never
         # fires on the packed state, so the outer vertex sits below it.
-        cfg = LabeledConfig(
-            StarParams(2, 3), {CENTER: {1, 2}, Vertex(1, 2): {3, 4}, Vertex(2, 2): {5}, Vertex(2, 3): {6}}
-        )
-        board = _board(cfg.params)
-        state = _pack(cfg)
+        board = _board(StarParams(2, 3))
+        state = ((1, 2), (), (3, 4), (), (), (5,), (6,))
         assert _packed_moves(board, state, _volmin_fireable(board, state)) == [Move(Vertex(1, 2), (3, 4))]
 
     def test_empty_iff_stable(self):
-        stable = LabeledConfig(
-            StarParams(2, 2),
-            {Vertex(i, j): {2 * (i - 1) + j} for i in (1, 2) for j in (1, 2)},
-        )
-        assert _volmin_fireable(_board(stable.params), _pack(stable)) == []
+        assert _volmin_fireable(_board(StarParams(2, 2)), ((), (1,), (2,), (3,), (4,))) == []
 
 
 class TestEnumerateVolmin:
@@ -235,43 +218,36 @@ def _packed_moves(board, state, slots):
     return [Move(board.vertex[s], chips) for s in slots for chips in combinations(state[s], board.deg[s])]
 
 
-def _naive_vertex(v):
-    """A vertex in the oracle's form: "C" or (branch, level)."""
-    return "C" if v == CENTER else tuple(v)
-
-
 @settings(deadline=None)
 @given(st.data())
 def test_packed_kernel_matches_object_model(data):
     # Random legal games, played in place through the packed kernel the
-    # drivers use, the label-position state the replays use, apply_move/
-    # legal_moves and the oracle's volmin filter side by side, from the
-    # board's start to the outcome read off the packed state.
+    # drivers use, the label-position state the replays use, and the
+    # oracle's _naive_moves, _naive_apply and volmin filter side by side,
+    # from the board's start to the outcome read off the packed state.
     k = data.draw(st.integers(min_value=1, max_value=9), label="k")
     m = data.draw(st.integers(min_value=1, max_value=9 // k), label="m")
-    params = StarParams(k, m)
-    board = _board(params)
-    config = initial_labeled(params)
+    board = _board(StarParams(k, m))
+    cfg = {"C": frozenset(range(1, k * m + 1))}
     state = [list(labels) for labels in board.start]
     replayed = _Replay(board)
     while True:
         assert replayed.state() == state
         assert replayed.count == [len(labels) for labels in state]
-        assert _unpack(params, state) == config
-        assert _pack(config) == tuple(map(tuple, state))
-        moves = legal_moves(config)
-        assert _packed_moves(board, state, _fireable(board, state)) == moves
+        assert {naive_vertex(v) for v in board.vertex} >= set(cfg)
+        assert state == [sorted(cfg.get(naive_vertex(v), ())) for v in board.vertex]
+        moves = _naive_moves(cfg, k)
+        packed = [(naive_vertex(v), chips) for v, chips in _packed_moves(board, state, _fireable(board, state))]
+        assert packed == moves
         volmin = _packed_moves(board, state, _volmin_fireable(board, state))
-        naive_config = {_naive_vertex(v): labels for v, labels in config.chips.items()}
-        assert [(_naive_vertex(v), chips) for v, chips in volmin] == naive_volmin_moves(naive_config, k)
+        assert [(naive_vertex(v), chips) for v, chips in volmin] == naive_volmin_moves(cfg, k)
         if not moves:
-            rows = tuple(
-                tuple(next(iter(config.chips[Vertex(i, j)])) for j in range(1, m + 1)) for i in range(1, k + 1)
-            )
+            rows = tuple(tuple(next(iter(cfg[(i, j)])) for j in range(1, m + 1)) for i in range(1, k + 1))
             assert _outcome(board, state) == rows
             break
-        mv = data.draw(st.sampled_from(moves), label="move")
-        config = apply_move(config, mv)
+        v, chips = data.draw(st.sampled_from(moves), label="move")
+        mv = Move(CENTER if v == "C" else Vertex(*v), chips)
+        cfg = _naive_apply(cfg, (v, chips), k)
         replayed.fire(board.slot[mv.vertex], mv)
         _fire(board, state, board.slot[mv.vertex], mv.chips)
 

@@ -165,10 +165,16 @@ class TestVerifyPoset:
 
 class TestOutOfRangeLabels:
     # A replay that looks labels up by position must refuse a label outside
-    # 1..k*m before it looks: index -1 would read label k*m's slot.
+    # 1..k*m before it looks: index -1 would read label k*m's slot. A label
+    # that is not an int cannot index at all, and 1.0 == 1 must not make it
+    # count as present.
     HOLDS = "chips not present (vertex holds [1, 2, 3, 4, 5, 6, 7, 8, 9])"
+    NOT_INT = "chips must be int labels"
 
-    @pytest.mark.parametrize("first", ["C:{0,1,2}", "C:{1,2,10}", Move(CENTER, (-1, 8, 9))])
+    @pytest.mark.parametrize(
+        "first",
+        ["C:{0,1,2}", "C:{1,2,10}", Move(CENTER, (-1, 8, 9)), pytest.param(Move(CENTER, (1.0, 2, 3)), id="float")],
+    )
     def test_refused_by_the_verifier_and_by_replay(self, first):
         log = det_log(3, 3)
         if isinstance(first, str):  # a parsed log
@@ -176,15 +182,14 @@ class TestOutOfRangeLabels:
         else:  # built through the API
             log = SequenceLog(log.params, (first,) + log.moves[1:])
         bad = log.moves[0]
+        reason = self.HOLDS if all(type(c) is int for c in bad.chips) else self.NOT_INT
         report = verify_poset(log)
         assert [(v.rule, v.subject, v.detail) for v in report.violations] == [
-            ("illegal-replay", (0,), f"illegal move {bad}: {self.HOLDS}")
+            ("illegal-replay", (0,), f"illegal move {bad}: {reason}")
         ]
         with pytest.raises(IllegalMoveError) as refused:
             replay(log.params, log.moves)
-        assert str(refused.value) == (
-            f"illegal move {bad} at step 1: {self.HOLDS}; state LabeledConfig(C:{{1,2,3,4,5,6,7,8,9}})"
-        )
+        assert str(refused.value) == f"illegal move {bad} at step 1: {reason}; state C:{{1,2,3,4,5,6,7,8,9}}"
 
 
 class TestVerifyMixing:
