@@ -18,19 +18,19 @@ from starchip import (
 )
 
 params = StarParams(k=3, m=4)
-final, fires, total = stabilize_unlabeled(params, n=12)
+counts, fires = stabilize_unlabeled(params, n=12)
 
 print("final chip counts:")
-for v in sorted(final.counts):
-    print(f"  {v}: {final.counts[v]}")
+for v, c in counts.items():
+    print(f"  {v}: {c}")
 
 # The number of fires is not just deterministic in aggregate: every single
 # vertex fires the same number of times in every stabilization order.
-print(f"\ntotal fires: {total} (closed form: {expected_total_fires(params)})")
+print(f"\ntotal fires: {sum(fires.values())} (closed form: {expected_total_fires(params)})")
 for j in range(params.m + 1):
     v = CENTER if j == 0 else Vertex(1, j)
     print(f"  level {j}: fired {fires.get(v, 0)} times, formula says {expected_fire_count(params, v)}")
 
 # With a remainder, the leftovers simply sit on the center.
-final, _, _ = stabilize_unlabeled(StarParams(k=3, m=2), n=7)
-print(f"\n7 chips on 3 branches leave {final.count_at(CENTER)} chip(s) on the center")
+counts, _ = stabilize_unlabeled(StarParams(k=3, m=2), n=7)
+print(f"\n7 chips on 3 branches leave {counts.get(CENTER, 0)} chip(s) on the center")

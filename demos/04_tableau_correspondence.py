@@ -50,7 +50,7 @@ print(f"\n{crooked} standard? {crooked.is_standard} (middle column: {crooked.col
 # Every standard tableau still has a scripted game landing exactly on it.
 t = Tableau(((1, 2, 6), (3, 5, 8), (4, 7, 9)))
 moves = witness_sequence(t)
-final, _ = replay(StarParams(3, 3), moves)
+final = replay(StarParams(3, 3), moves)
 print(f"\nscript of {len(moves)} moves lands on {final == to_outcome(t)} -> {t}")
 
 # At 3x3 volatility-minimizing play reaches exactly the standard fillings.

@@ -111,7 +111,7 @@ def cmd_syt(args: argparse.Namespace) -> int:
         good = 0
         for t in tableaux:
             moves = witness_sequence(t)
-            final, _ = replay(params, moves)
+            final = replay(params, moves)
             if final == to_outcome(t):
                 good += 1
             else:

@@ -12,9 +12,10 @@ Two games live on this board:
   routes the i-th smallest to branch i. A branch fire picks 2 chips and sends
   the smaller toward the center, the larger outward.
 
-An unlabeled configuration is an immutable value. The labeled game has one
-start, all k*m labels on the center, and one state representation, the
-packed state described above ``_State``, which a game fires in place.
+``engine.stabilize_unlabeled`` plays the unlabeled game on a plain dict of
+chip counts. The labeled game has one start, all k*m labels on the center,
+and one state representation, the packed state described above ``_State``,
+which a game fires in place.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Outcome = tuple[tuple[int, ...], ...]
 """Stable result of the labeled game: row i holds branch i's labels, center-outward."""
@@ -117,18 +118,15 @@ class StarParams:
 
 
 def degree(params: StarParams, v: Vertex) -> int:
-    """Vertex degree: k at the center, 2 on every branch vertex."""
-    check_vertex(params, v)
-    return params.k if v.is_center else 2
-
-
-def check_vertex(params: StarParams, v: Vertex) -> None:
+    """Vertex degree: k at the center, 2 on every branch vertex. A vertex
+    off the star raises ValueError."""
     if v.is_center:
         if v != CENTER:
             raise ValueError(f"malformed center vertex {v!r}")
-        return
+        return params.k
     if not (1 <= v.branch <= params.k) or v.level < 1:
         raise ValueError(f"vertex {v} is not on a star with k={params.k}")
+    return 2
 
 
 class Move(NamedTuple):
@@ -158,52 +156,6 @@ def parse_move(text: str) -> Move:
     return Move(vertex, chips)
 
 
-class UnlabeledConfig:
-    """Sparse chip-count configuration: vertices absent from ``counts`` hold zero."""
-
-    __slots__ = ("params", "counts", "_key")
-
-    def __init__(self, params: StarParams, counts: Mapping[Vertex, int]):
-        clean: dict[Vertex, int] = {}
-        for v, c in counts.items():
-            check_vertex(params, v)
-            if c < 0:
-                raise ValueError(f"negative chip count {c} at {v}")
-            if c > 0:
-                clean[v] = c
-        self.params = params
-        self.counts = clean
-        self._key = tuple(sorted(clean.items()))
-
-    def count_at(self, v: Vertex) -> int:
-        return self.counts.get(v, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def is_stable(self) -> bool:
-        return all(c < degree(self.params, v) for v, c in self._key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UnlabeledConfig) and self.params == other.params and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash((self.params, self._key))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:{c}" for v, c in self._key)
-        return f"UnlabeledConfig({inner})"
-
-
-def initial_unlabeled(params: StarParams, n: int) -> UnlabeledConfig:
-    """n unlabeled chips on the center, nothing elsewhere."""
-    if n < 0:
-        raise ValueError(f"chip count must be >= 0, got {n}")
-    return UnlabeledConfig(params, {CENTER: n})
-
-
 def _receivers(k: int, v: Vertex) -> tuple[Vertex, ...]:
     """The routing rule: the i-th smallest chip fired at v lands on the i-th
     receiver. A center fire feeds branch i, level 1, in branch order; a
@@ -214,22 +166,20 @@ def _receivers(k: int, v: Vertex) -> tuple[Vertex, ...]:
     return (CENTER if v.level == 1 else Vertex(v.branch, v.level - 1), Vertex(v.branch, v.level + 1))
 
 
-def _check_fire(
-    params: StarParams, v: Vertex, have: Iterable[int], fired: tuple[int, ...], d: int | None = None
-) -> None:
+def _check_fire(params: StarParams, v: Vertex, have: Iterable[int], fired: tuple[int, ...]) -> None:
     """The legality checks of firing ``fired`` at ``v`` while it holds the
     labels ``have``, which name what is wrong with a fire that
-    :meth:`_Replay.fire` refuses. ``d`` is v's degree if the caller has it;
-    otherwise it is looked up.
+    :meth:`_Replay.fire` refuses.
 
-    Raises IllegalMoveError, also for a vertex off the star and for a label
-    that is not an int, such as 1.0, which equals the label 1 (a bool
-    counts as an int)."""
-    if d is None:
-        try:
-            d = degree(params, v)
-        except ValueError:  # check_vertex: v is off the star
-            raise IllegalMoveError(v, fired, f"vertex is not on a star with k={params.k}") from None
+    Raises IllegalMoveError, also for chips that are not a tuple, such as
+    a list, for a vertex off the star and for a label that is not an int,
+    such as 1.0, which equals the label 1 (a bool counts as an int)."""
+    if not isinstance(fired, tuple):
+        raise IllegalMoveError(v, fired, "chips must be a tuple")
+    try:
+        d = degree(params, v)
+    except ValueError:  # v is off the star
+        raise IllegalMoveError(v, fired, f"vertex is not on a star with k={params.k}") from None
     if len(fired) != d:
         raise IllegalMoveError(v, fired, f"must fire exactly {d} chips")
     if not all(isinstance(c, int) for c in fired):
@@ -358,8 +308,8 @@ class _Replay:
         A fire is legal when its vertex has a slot, it names degree-many
         chips in a tuple, they are ints that strictly increase within
         1..k*m, and each sits on the slot. Only a refused fire lists the
-        slot's labels, in ascending order, for :func:`_check_fire` to name
-        what is wrong."""
+        slot's labels, in ascending order (none if ``s`` is None), for
+        :func:`_check_fire` to name what is wrong."""
         v, chips = move
         where, count = self.where, self.count
         if s is not None and isinstance(chips, tuple) and len(chips) == self.deg[s]:
@@ -377,10 +327,7 @@ class _Replay:
                     return
             except TypeError:  # a label that is not an int cannot index where
                 pass
-        if s is None:
-            _check_fire(self.board.params, v, (), chips)
-        else:
-            _check_fire(self.board.params, v, [c for c in range(1, self.n + 1) if where[c] == s], chips, self.deg[s])
+        _check_fire(self.board.params, v, [c for c in range(1, self.n + 1) if where[c] == s], chips)
         raise AssertionError(f"_check_fire accepts {move}, which the replay refuses")
 
     def state(self) -> list[list[int]]:

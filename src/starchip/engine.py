@@ -29,6 +29,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from operator import index
 from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
 from .core import (
@@ -38,7 +39,6 @@ from .core import (
     Outcome,
     ShapeError,
     StarParams,
-    UnlabeledConfig,
     Vertex,
     _Board,
     _State,
@@ -71,25 +71,27 @@ def expected_total_fires(params: StarParams) -> int:
     return m * (m + 1) // 2 + k * ((m - 1) * m * (m + 1) // 6)
 
 
-def stabilize_unlabeled(params: StarParams, n: int) -> tuple[UnlabeledConfig, dict[Vertex, int], int]:
-    """Drive n center chips to stability; return (config, per-vertex fires, total).
+def stabilize_unlabeled(params: StarParams, n: int) -> tuple[dict[Vertex, int], dict[Vertex, int]]:
+    """Drive n unlabeled center chips to stability; return (counts, fires):
+    the chip count of each vertex that holds chips, in canonical vertex
+    order, and how often each vertex fired. The number of fires is
+    ``sum(fires.values())``. A negative n raises ValueError.
 
     Fires in center-outward sweeps, batching repeated fires of one vertex.
     By confluence the result and the counts are order-independent.
     """
+    if n < 0:
+        raise ValueError(f"chip count must be >= 0, got {n}")
     counts = {CENTER: n}
     fires: Counter[Vertex] = Counter()
-    while True:
-        ready = [(v, d) for v in sorted(counts) if counts[v] >= (d := degree(params, v))]
-        if not ready:
-            break
+    while ready := [(v, d) for v in sorted(counts) if counts[v] >= (d := degree(params, v))]:
         for v, d in ready:  # only its own fire takes chips from v, so v still fires
             t = counts[v] // d
             counts[v] -= t * d
             fires[v] += t
             for u in _receivers(params.k, v):
                 counts[u] = counts.get(u, 0) + t
-    return UnlabeledConfig(params, counts), dict(fires), sum(fires.values())
+    return {v: c for v, c in sorted(counts.items()) if c}, dict(fires)
 
 
 @dataclass(frozen=True, eq=True)
@@ -152,7 +154,8 @@ class Strategy(Protocol):
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, Iterable[int]]:
         """The next fire on the game's packed state (see :mod:`starchip.core`),
         as a slot and the set of chips it fires there, in any order: the
-        driver sorts them into the tuple the log records.
+        driver sorts them into the tuple the log records. Chips are int
+        labels; a bool is logged and played as its int.
 
         ``state`` is the game's one mutable state and ``fireable`` the
         driver's list of its fireable slots in canonical vertex order, never
@@ -230,7 +233,9 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
     distinct and all held; and level m never holds two chips from this
     start. The first fire that fails the check is replayed with every check
     by :func:`replay`, which raises IllegalMoveError naming its step, move,
-    reason and state.
+    reason and state. So is, at once, a fire that names a chip that is not
+    an int, such as 1.0. The driver logs and routes each chip as the int
+    ``operator.index`` gives, so a bool is played as its int.
 
     A fire at slot s takes chips from s alone and adds one chip to each
     receiver, so the list of fireable slots the strategy reads, kept in
@@ -247,8 +252,13 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
     fireable = _fireable(board, state)
     moves: list[Move] = []
     while fireable:
-        s, chips = strategy.pick(board, state, fireable)
-        chips = tuple(sorted(chips))
+        s, picked = strategy.pick(board, state, fireable)
+        picked = tuple(picked)
+        try:
+            chips = tuple(sorted(map(index, picked)))
+        except TypeError:  # a chip that is not an int
+            moves.append(Move(vertex[s], picked))
+            replay(params, moves)  # raises IllegalMoveError naming this fire
         held = len(state[s])
         _fire(board, state, s, chips)
         moves.append(Move(vertex[s], chips))
@@ -364,13 +374,12 @@ def fork_trials(params: StarParams, trials: int, summarize: Callable[[range], _S
     return [first, *forked, *rest]
 
 
-def replay(
-    params: StarParams, moves: Iterable[Move]
-) -> tuple[Outcome | dict[Vertex, tuple[int, ...]], SequenceLog]:
-    """Apply a scripted move list starting from all chips on the center.
+def replay(params: StarParams, moves: Iterable[Move]) -> Outcome | dict[Vertex, tuple[int, ...]]:
+    """Apply a scripted move list starting from all chips on the center,
+    reading ``moves`` once, from any iterable, and keeping no copy of it.
 
-    Returns (outcome, log) when the script ends stable. Otherwise it returns
-    (held, log), where ``held`` maps each vertex that holds chips, in
+    Returns the outcome when the script ends stable. Otherwise it returns
+    the held labels: a dict that maps each vertex that holds chips, in
     canonical vertex order, to its labels in ascending order. An illegal
     move raises IllegalMoveError naming the 1-based step and the state it
     was attempted on, written as ``state C:{3,4}, B(1,1):{1}``. The replay
@@ -382,7 +391,6 @@ def replay(
     board = _board(params)
     slot = board.slot
     played = _Replay(board)
-    moves = tuple(moves)
     for t, mv in enumerate(moves, start=1):
         try:
             played.fire(slot.get(mv.vertex), mv)
@@ -391,11 +399,10 @@ def replay(
             text = ", ".join(f"{v}:{{{','.join(map(str, labels))}}}" for v, labels in held.items())
             raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {text}", step=t) from None
     state = played.state()
-    log = SequenceLog(params, moves)
     try:
-        return _outcome(board, state), log
+        return _outcome(board, state)
     except ShapeError:  # from this start, every state but the stable shape is unstable
-        return _held(board, state), log
+        return _held(board, state)
 
 
 def _held(board: _Board, state: _State) -> dict[Vertex, tuple[int, ...]]:

@@ -88,11 +88,13 @@ def naive_vertex(v):
 def naive_refusal(cfg, move, k):
     """Why ``move`` may not fire on ``cfg``, as the package words it, or
     None when it may. ``move`` is ``(vertex, chips)`` with the vertex in the
-    oracle's form. The rules, in the order they are checked: the vertex is
-    on the star, the move fires exactly the vertex's degree in chips, every
-    chip is an int (a bool is one), the chips strictly increase in a tuple,
-    and the vertex holds each of them."""
+    oracle's form. The rules, in the order they are checked: the chips
+    come in a tuple, the vertex is on the star, the move fires exactly the
+    vertex's degree in chips, every chip is an int (a bool is one), the
+    chips strictly increase, and the vertex holds each of them."""
     v, fired = move
+    if not isinstance(fired, tuple):
+        return "chips must be a tuple"
     if v != CENTER and not (1 <= v[0] <= k and v[1] >= 1):
         return f"vertex is not on a star with k={k}"
     deg = k if v == CENTER else 2
@@ -100,7 +102,7 @@ def naive_refusal(cfg, move, k):
         return f"must fire exactly {deg} chips"
     if any(not isinstance(c, int) for c in fired):
         return "chips must be int labels"
-    if not isinstance(fired, tuple) or any(a >= b for a, b in zip(fired, fired[1:])):
+    if any(a >= b for a, b in zip(fired, fired[1:])):
         return "chips must be distinct and sorted"
     held = sorted(cfg.get(v, ()))
     if any(c not in held for c in fired):

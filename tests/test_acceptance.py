@@ -120,8 +120,8 @@ def test_criterion_02_closed_form_fire_counts_and_stable_shapes():
     for k in range(1, 6):
         for m in range(1, 7):
             params = StarParams(k, m)
-            _, fires, total = stabilize_unlabeled(params, k * m)
-            if total != expected_total_fires(params):
+            _, fires = stabilize_unlabeled(params, k * m)
+            if sum(fires.values()) != expected_total_fires(params):
                 problems.append(f"total fires for ({k},{m})")
             vertices = [CENTER] + [Vertex(i, j) for i in range(1, k + 1) for j in range(1, m + 2)]
             if any(fires.get(v, 0) != expected_fire_count(params, v) for v in vertices):
@@ -129,13 +129,13 @@ def test_criterion_02_closed_form_fire_counts_and_stable_shapes():
     for k in range(1, 6):
         params = StarParams(k, 1)
         for n in range(0, 5 * k + 5):
-            config, _, _ = stabilize_unlabeled(params, n)
+            counts, _ = stabilize_unlabeled(params, n)
             levels, rest = divmod(n, k)
             expected = {CENTER: rest} if rest else {}
             for i in range(1, k + 1):
                 for j in range(1, levels + 1):
                     expected[Vertex(i, j)] = 1
-            if config.counts != expected:
+            if counts != expected:
                 problems.append(f"stable shape for k={k}, n={n}")
     report(2, "closed-form fire counts (k<=5, m<=6) and stable shapes (n<=5k+4)", not problems,
            "; ".join(problems))
@@ -191,7 +191,7 @@ def test_criterion_05_witness_scripts_for_every_small_tableau():
             params = StarParams(k, m)
             outcomes = set()
             for t in generate_syts(k, m):
-                final, log = replay(params, witness_sequence(t))
+                final = replay(params, witness_sequence(t))
                 if final != to_outcome(t):
                     problems.append(f"{k}x{m} tableau {t} landed on {final}")
                 outcomes.add(final)
@@ -234,7 +234,7 @@ def test_criterion_07_thousand_random_logs_verify(capsys):
 def test_criterion_08_scripted_replay_and_its_tableau(replay_3x3_text):
     params = StarParams(3, 3)
     log = SequenceLog.from_text(params, replay_3x3_text)
-    final, _ = replay(params, log.moves)
+    final = replay(params, log.moves)
     t = from_outcome(final)
     middle = t.column(1)
     ok = (

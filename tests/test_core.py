@@ -11,11 +11,9 @@ from starchip import (
     Move,
     ShapeError,
     StarParams,
-    UnlabeledConfig,
     Vertex,
     branch_vertex,
     degree,
-    initial_unlabeled,
     is_totally_sorted,
     outcome_from_text,
     outcome_to_text,
@@ -89,35 +87,6 @@ class TestVertexAndParams:
     def test_degree_rejects_foreign_vertex(self):
         with pytest.raises(ValueError):
             degree(StarParams(2, 2), Vertex(3, 1))
-
-
-class TestConfigs:
-    def test_initial_unlabeled(self):
-        assert initial_unlabeled(StarParams(2, 2), 4).count_at(CENTER) == 4
-        assert initial_unlabeled(StarParams(3, 2), 7).count_at(CENTER) == 7
-        empty = initial_unlabeled(StarParams(1, 1), 0)
-        assert empty.total == 0 and empty.is_stable
-
-    def test_unlabeled_negative_rejected(self):
-        with pytest.raises(ValueError):
-            UnlabeledConfig(StarParams(1, 1), {CENTER: -1})
-
-    def test_config_equality_and_hash(self):
-        p = StarParams(2, 1)
-        a = UnlabeledConfig(p, {CENTER: 1, Vertex(1, 1): 2})
-        b = UnlabeledConfig(p, {Vertex(1, 1): 2, CENTER: 1, Vertex(2, 1): 0})
-        assert a == b and hash(a) == hash(b)
-        assert a != UnlabeledConfig(p, {CENTER: 1, Vertex(2, 1): 2})
-        assert a != UnlabeledConfig(StarParams(2, 2), {CENTER: 1, Vertex(1, 1): 2})
-        assert a != ((CENTER, 1), (Vertex(1, 1), 2))
-
-    def test_is_stable(self):
-        p = StarParams(2, 2)
-        assert UnlabeledConfig(p, {Vertex(i, j): 1 for i in (1, 2) for j in (1, 2)}).is_stable
-        assert not initial_unlabeled(p, 4).is_stable
-        assert not UnlabeledConfig(p, {Vertex(2, 3): 2}).is_stable
-        one_chip_center = UnlabeledConfig(p, {CENTER: 1, Vertex(1, 1): 1, Vertex(1, 2): 1, Vertex(2, 1): 1})
-        assert one_chip_center.is_stable
 
 
 class TestLegalMoves:
@@ -200,6 +169,7 @@ class TestApplyMove:
         assert refuse(Move(CENTER, (1,))).reason == "must fire exactly 2 chips"
         assert refuse(Move(CENTER, (2, 1))).reason == "chips must be distinct and sorted"
         assert refuse(Move(CENTER, (1.0, 2))).reason == "chips must be int labels"
+        assert refuse(Move(CENTER, [1, 2])).reason == "chips must be a tuple"
         err = refuse(Move(Vertex(3, 1), (1, 2)))  # branch past k
         assert err.vertex == Vertex(3, 1)
         assert err.reason == "vertex is not on a star with k=2"
@@ -338,7 +308,7 @@ def test_locality(case):
 def test_projection_onto_unlabeled_game(case):
     board, state, s, chips = case
     params = board.params
-    after_counts = UnlabeledConfig(params, {v: len(labels) for v, labels in zip(board.vertex, _fired(*case))})
+    after_counts = {v: len(labels) for v, labels in zip(board.vertex, _fired(*case)) if labels}
 
     counts = {v: len(labels) for v, labels in zip(board.vertex, state)}
     v = board.vertex[s]
@@ -352,7 +322,7 @@ def test_projection_onto_unlabeled_game(case):
         ]
     for u in receivers:
         counts[u] = counts.get(u, 0) + 1
-    assert after_counts == UnlabeledConfig(params, counts)
+    assert after_counts == {v: c for v, c in counts.items() if c}
 
 
 # The replay's checked fire on label positions against the oracle's rules.
@@ -361,8 +331,8 @@ def _move_to_try(rnd: random.Random, cfg: dict, k: int, m: int) -> Move:
     """A move on the oracle's configuration ``cfg`` that is legal or wrong
     in one of several ways: the vertex may sit on level m, past it or on a
     branch past k, and the chips may be too few or too many, unsorted,
-    repeated, absent, out of 1..k*m, not ints, or a list instead of a
-    tuple."""
+    repeated, absent, out of 1..k*m or not ints. Any of these, a legal
+    fire's chips included, may come in a list instead of a tuple."""
     n = k * m
     i = rnd.randint(1, k)
     held_at = sorted(CENTER if v == "C" else Vertex(*v) for v in cfg)
@@ -373,9 +343,7 @@ def _move_to_try(rnd: random.Random, cfg: dict, k: int, m: int) -> Move:
     def some(labels: list[int], size: int) -> list[int]:
         return sorted(rnd.sample(labels, min(max(size, 0), len(labels))))
 
-    kind = rnd.choice(
-        ["held", "wrong size", "unsorted", "duplicate", "absent chip", "out of range", "not an int", "list"]
-    )
+    kind = rnd.choice(["held", "wrong size", "unsorted", "duplicate", "absent chip", "out of range", "not an int"])
     if kind == "wrong size":
         chips = some(held, rnd.choice([d - 1, d + 1]))
     elif kind == "unsorted":
@@ -394,7 +362,7 @@ def _move_to_try(rnd: random.Random, cfg: dict, k: int, m: int) -> Move:
             chips[at] = rnd.choice([float(chips[at]), chips[at] + 0.5, str(chips[at])])
     else:
         chips = some(held, d)
-    return Move(v, chips if kind == "list" else tuple(chips))
+    return Move(v, chips if rnd.random() < 0.2 else tuple(chips))
 
 
 @settings(deadline=None)

@@ -34,40 +34,36 @@ from oracles import ReferenceSplitMix64, naive_play, naive_replay, naive_state_t
 
 class TestUnlabeledStabilization:
     def test_single_chip_single_branch(self):
-        config, fires, total = stabilize_unlabeled(StarParams(1, 1), 1)
-        assert config.counts == {Vertex(1, 1): 1}
-        assert total == 1
+        counts, fires = stabilize_unlabeled(StarParams(1, 1), 1)
+        assert counts == {Vertex(1, 1): 1}
         assert fires == {CENTER: 1}
 
     def test_two_branches_four_chips(self):
         params = StarParams(2, 2)
-        config, fires, total = stabilize_unlabeled(params, 4)
-        assert config.counts == {Vertex(i, j): 1 for i in (1, 2) for j in (1, 2)}
-        assert total == 5
+        counts, fires = stabilize_unlabeled(params, 4)
+        assert list(counts.items()) == [(Vertex(i, j), 1) for i in (1, 2) for j in (1, 2)]
+        assert sum(fires.values()) == 5
         assert fires[CENTER] == 3
         assert fires[Vertex(1, 1)] == fires[Vertex(2, 1)] == 1
         for v, n in fires.items():
             assert n == expected_fire_count(params, v)
 
     def test_remainder_chips_stay_on_center(self):
-        config, _, _ = stabilize_unlabeled(StarParams(3, 2), 7)  # 7 = 3*2 + 1
-        assert config.count_at(CENTER) == 1
-        for i in (1, 2, 3):
-            assert config.count_at(Vertex(i, 1)) == 1
-            assert config.count_at(Vertex(i, 2)) == 1
-            assert config.count_at(Vertex(i, 3)) == 0
+        counts, _ = stabilize_unlabeled(StarParams(3, 2), 7)  # 7 = 3*2 + 1
+        assert counts.pop(CENTER) == 1
+        assert counts == {Vertex(i, j): 1 for i in (1, 2, 3) for j in (1, 2)}
 
     def test_subcritical_pile_is_already_stable(self):
-        config, fires, total = stabilize_unlabeled(StarParams(4, 1), 3)
-        assert config.count_at(CENTER) == 3
-        assert total == 0 and fires == {}
+        counts, fires = stabilize_unlabeled(StarParams(4, 1), 3)
+        assert counts == {CENTER: 3}
+        assert fires == {}
 
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("m", range(1, 7))
     def test_closed_form_counts(self, k, m):
         params = StarParams(k, m)
-        _, fires, total = stabilize_unlabeled(params, k * m)
-        assert total == expected_total_fires(params)
+        _, fires = stabilize_unlabeled(params, k * m)
+        assert sum(fires.values()) == expected_total_fires(params)
         for v, n in fires.items():
             assert n == expected_fire_count(params, v)
         for j in range(m):
@@ -131,8 +127,7 @@ class TestLabeledStabilization:
         for name in ("det", "random", "volmin"):
             params = StarParams(3, 2)
             outcome, log = stabilize_labeled(params, make_strategy(name, seed=6))
-            final, _ = replay(params, log.moves)
-            assert final == outcome
+            assert replay(params, log.moves) == outcome
 
     def test_confluence_of_lengths_and_fire_counts(self):
         params = StarParams(2, 3)
@@ -156,25 +151,22 @@ class TestReplay:
         params = StarParams(3, 3)
         log = SequenceLog.from_text(params, replay_3x3_text)
         assert len(log) == 18
-        final, replayed = replay(params, log.moves)
+        final = replay(params, log.moves)
         assert final == ((1, 4, 7), (2, 3, 8), (5, 6, 9))
         assert outcome_to_text(final) == "[1,4,7],[2,3,8],[5,6,9]"
-        assert replayed.moves == log.moves
 
     def test_empty_script_returns_unstable_config(self):
-        final, log = replay(StarParams(1, 1), [])
-        assert len(log) == 0
-        assert final == {CENTER: (1,)}
+        assert replay(StarParams(1, 1), []) == {CENTER: (1,)}
 
     def test_the_log_holds_the_moves_given(self, replay_3x3_text):
-        # the moves are read once, from any iterable, and the log keeps them
+        # the moves are read once, from any iterable: a one-shot iterator
+        # replays to the state the tuple does, complete or not
         params = StarParams(3, 3)
         moves = SequenceLog.from_text(params, replay_3x3_text).moves
-        assert replay(params, iter(moves))[1].moves == moves
-        assert replay(params, moves)[1].moves is moves
-        final, log = replay(params, (mv for mv in moves[:5]))
-        assert log.moves == moves[:5]
-        assert final[CENTER]
+        assert replay(params, iter(moves)) == replay(params, moves) == ((1, 4, 7), (2, 3, 8), (5, 6, 9))
+        held = replay(params, (mv for mv in moves[:5]))
+        assert held == replay(params, moves[:5])
+        assert held[CENTER]
 
     def test_illegal_second_move_reports_step(self):
         params = StarParams(1, 2)
@@ -313,10 +305,11 @@ def test_a_fire_of_k_plus_one_center_chips_is_refused(k, m):
 
 
 class _Script:
-    """Fires the moves of a script in order, whatever the state holds."""
+    """Fires the moves of a script in order, whatever the state holds. The
+    script is a text of moves or a list of moves with chips of any type."""
 
-    def __init__(self, text):
-        self.moves = [parse_move(word) for word in text.split()]
+    def __init__(self, script):
+        self.moves = [parse_move(word) for word in script.split()] if isinstance(script, str) else script
         self.picks = 0
 
     def pick(self, board, state, fireable):
@@ -326,29 +319,49 @@ class _Script:
 
 
 @pytest.mark.parametrize(
-    "k, m, script, step",
+    "k, m, script, step, error",
     [
-        (1, 2, "C:{2} C:{2} B(1,1):{1,2} C:{1}", 2),
-        (2, 2, "C:{1,3} C:{2,4} B(1,1):{1,2} B(2,1):{1,3} C:{1}", 4),
+        (1, 2, "C:{2} C:{2} B(1,1):{1,2} C:{1}", 2, "chips not present"),
+        (2, 2, "C:{1,3} C:{2,4} B(1,1):{1,2} B(2,1):{1,3} C:{1}", 4, "chips not present"),
+        pytest.param(
+            2, 1, [Move(CENTER, [1.0, 2.0])], 1, r"C:\{1.0,2.0\} at step 1: chips must be int labels", id="float"
+        ),
+        pytest.param(
+            2,
+            2,
+            [Move(CENTER, (True, 3)), Move(CENTER, (2, 4))]
+            + [Move(Vertex(1, 1), (True, 2)), Move(Vertex(2, 1), (True, 3))],
+            4,
+            r"B\(2,1\):\{1,3\} at step 4: chips not present",
+            id="bool",
+        ),
     ],
 )
-def test_a_fire_of_chips_the_vertex_does_not_hold_is_refused(k, m, script, step):
+def test_a_fire_of_chips_the_vertex_does_not_hold_is_refused(k, m, script, step, error):
     # Played to the end, the first script stops on [1,2] and the second on
     # the unsorted [1,2],[4,3]: stable states of the right shape, which the
-    # read-off alone cannot tell from a game's outcome.
+    # read-off alone cannot tell from a game's outcome. The float chips,
+    # each equal to a held label, would land on the board, and the bool
+    # True, equal to the label 1, must be logged as 1.
     strategy = _Script(script)
-    with pytest.raises(IllegalMoveError, match=r"chips not present") as err:
+    with pytest.raises(IllegalMoveError, match=error) as err:
         stabilize_labeled(StarParams(k, m), strategy)
     assert err.value.step == strategy.picks == step
 
 
+def test_a_bool_chip_is_played_as_its_int():
+    outcome, log = stabilize_labeled(StarParams(2, 1), _Script([Move(CENTER, (True, 2))]))
+    assert outcome_to_text(outcome) == "[1],[2]"
+    assert [type(c) for row in outcome for c in row] == [type(c) for mv in log for c in mv.chips] == [int, int]
+
+
 class _SloppyStrategy:
     """Random play from a reference stream that now and then breaks the
-    rules: each fire swaps a chip for a label the slot does not hold with
-    chance 1/(4L), and fires a chip short with chance 1/(4L), where L is the
-    game's length, so some 40% of games break a rule. It names its chips in
-    descending order, which the driver sorts. ``fault`` is the step of its
-    first illegal fire, or None."""
+    rules: each fire swaps a chip for a label the slot does not hold, fires
+    a chip short, or names a held label as a float, each with chance
+    1/(4L), where L is the game's length, so some half of the games break a
+    rule. It names its chips in descending order, which the driver sorts.
+    ``fault`` is the step of its first illegal fire, or None."""
 
     def __init__(self, params, seed):
         self.rng = ReferenceSplitMix64(seed)
@@ -367,7 +380,10 @@ class _SloppyStrategy:
             chips[rng.randrange(len(chips))] = foreign[rng.randrange(len(foreign))]
         elif roll == 1:
             chips.pop(rng.randrange(len(chips)))
-        if roll < 2 and self.fault is None:
+        elif roll == 2:
+            at = rng.randrange(len(chips))
+            chips[at] = float(chips[at])
+        if roll < 3 and self.fault is None:
             self.fault = self.picks
         return s, chips[::-1]
 
@@ -385,7 +401,7 @@ def test_a_game_is_refused_at_its_first_illegal_fire_or_passes_every_check(k, m)
             refused += 1
             continue
         assert strategy.fault is None
-        assert replay(params, log.moves) == (outcome, log)
+        assert replay(params, log.moves) == outcome
         assert all(check_game(outcome, log).values())
     assert 0 < refused < 200
 

@@ -128,8 +128,7 @@ class TestWitnessSequences:
         t = Tableau(((1, 3), (2, 4)))
         moves = witness_sequence(t)
         assert len(moves) == expected_total_fires(StarParams(2, 2))
-        final, _ = replay(StarParams(2, 2), moves)
-        assert final == ((1, 3), (2, 4))
+        assert replay(StarParams(2, 2), moves) == ((1, 3), (2, 4))
 
     def test_script_follows_the_documented_rule(self):
         # Ready branch vertices fire innermost first, lower branch first on
@@ -142,8 +141,7 @@ class TestWitnessSequences:
 
     def test_totally_sorted_three_by_three(self):
         t = Tableau(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
-        final, _ = replay(StarParams(3, 3), witness_sequence(t))
-        assert final == t.rows
+        assert replay(StarParams(3, 3), witness_sequence(t)) == t.rows
 
     def test_trivial_game(self):
         moves = witness_sequence(Tableau(((1,),)))
@@ -158,9 +156,10 @@ class TestWitnessSequences:
         params = StarParams(k, m)
         seen = set()
         for t in generate_syts(k, m):
-            final, log = replay(params, witness_sequence(t))
+            moves = witness_sequence(t)
+            final = replay(params, moves)
             assert final == to_outcome(t)
-            assert len(log) == expected_total_fires(params)
+            assert len(moves) == expected_total_fires(params)
             seen.add(final)
         assert len(seen) == count_rect_syt(k, m)
 

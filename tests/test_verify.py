@@ -170,10 +170,18 @@ class TestOutOfRangeLabels:
     # count as present.
     HOLDS = "chips not present (vertex holds [1, 2, 3, 4, 5, 6, 7, 8, 9])"
     NOT_INT = "chips must be int labels"
+    NOT_TUPLE = "chips must be a tuple"
 
     @pytest.mark.parametrize(
         "first",
-        ["C:{0,1,2}", "C:{1,2,10}", Move(CENTER, (-1, 8, 9)), pytest.param(Move(CENTER, (1.0, 2, 3)), id="float")],
+        [
+            "C:{0,1,2}",
+            "C:{1,2,10}",
+            Move(CENTER, (-1, 8, 9)),
+            pytest.param(Move(CENTER, (1.0, 2, 3)), id="float"),
+            # held labels, distinct and sorted, but in a list
+            pytest.param(Move(CENTER, [1, 2, 3]), id="list"),
+        ],
     )
     def test_refused_by_the_verifier_and_by_replay(self, first):
         log = det_log(3, 3)
@@ -182,7 +190,10 @@ class TestOutOfRangeLabels:
         else:  # built through the API
             log = SequenceLog(log.params, (first,) + log.moves[1:])
         bad = log.moves[0]
-        reason = self.HOLDS if all(type(c) is int for c in bad.chips) else self.NOT_INT
+        if type(bad.chips) is not tuple:
+            reason = self.NOT_TUPLE
+        else:
+            reason = self.HOLDS if all(type(c) is int for c in bad.chips) else self.NOT_INT
         report = verify_poset(log)
         assert [(v.rule, v.subject, v.detail) for v in report.violations] == [
             ("illegal-replay", (0,), f"illegal move {bad}: {reason}")
