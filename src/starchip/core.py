@@ -194,18 +194,19 @@ def _check_fire(params: StarParams, v: Vertex, have: Iterable[int], fired: tuple
 # from _Board.start to the matrix _outcome reads off. It is indexed by vertex
 # slot, slot 0 being the center and slot 1 + (i-1)*m + (j-1) branch i,
 # level j, and each slot holds its labels in ascending order. The sweep keeps
-# each state as one int (see enumeration._sweep) and decodes it into a tuple
-# of tuples only for the move filter, once per chip-count group, and for the
-# final read-off. A game copies _Board.start into one list of lists and fires
-# in place on it (see _fire), so a fire touches only the fired slot and its
-# receivers; whoever reads that list while the game runs, a strategy
-# included, must not change it. A replay or a verifier reads no labels off a
-# slot, so it holds a _Replay instead: the slot of each label and the chip
-# count of each slot, and a fire touches only the fired chips and the counts.
-# Started from k*m chips on the center, level m never fires (see _fire_count),
-# so no chip passes it and the slots cover every reachable state.
-# Every reader here only indexes slots and takes their length, so it reads
-# a tuple of tuples and a list of lists alike.
+# each state as one int (see enumeration._sweep) and decodes it into slots
+# only for the final read-off. The move filters (_fireable, _volmin_fireable)
+# read only the chip count of each slot, which the sweep keys its groups by
+# and a game counts off its state. A game copies _Board.start into one list
+# of lists and fires in place on it (see _fire), so a fire touches only the
+# fired slot and its receivers; whoever reads that list while the game runs,
+# a strategy included, must not change it. A replay or a verifier reads no
+# labels off a slot, so it holds a _Replay instead: the slot of each label
+# and the chip count of each slot, and a fire touches only the fired chips
+# and the counts. Started from k*m chips on the center, level m never fires
+# (see _fire_count), so no chip passes it and the slots cover every
+# reachable state. Every reader here only indexes slots and takes their
+# length, so it reads a tuple of tuples and a list of lists alike.
 
 _State = Sequence[Sequence[int]]
 
@@ -257,10 +258,11 @@ def _board(params: StarParams) -> _Board:
     )
 
 
-def _fireable(board: _Board, state: _State) -> list[int]:
-    """Slots that can fire, in canonical vertex order."""
+def _fireable(board: _Board, counts: Sequence[int]) -> list[int]:
+    """Slots that can fire, in canonical vertex order, given the chip count
+    of each slot."""
     deg = board.deg
-    return [s for s in board.firing if len(state[s]) >= deg[s]]
+    return [s for s in board.firing if counts[s] >= deg[s]]
 
 
 def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...]) -> None:
@@ -338,20 +340,20 @@ class _Replay:
         return state
 
 
-def _calmest(board: _Board, state: _State, fireable: list[int]) -> list[int]:
+def _calmest(board: _Board, counts: Sequence[int], fireable: list[int]) -> list[int]:
     """The slots of the non-empty ``fireable`` that the volatility-minimizing
     filter keeps, in the order given: those whose fire leaves the fewest
-    slots ready, and of those the ones furthest from the center.
+    slots ready, and of those the ones furthest from the center. ``counts``
+    holds the chip count of each slot.
 
     Firing s leaves the other fireable slots ready, s itself if it holds
     a second fire's worth of chips, and every receiver its new chip brings
-    up to its degree. The count depends on chip counts alone.
+    up to its degree.
     """
     deg, routes, level = board.deg, board.routes, board.level
     others = len(fireable) - 1
     scores = [
-        others + (len(state[s]) >= 2 * deg[s]) + sum(len(state[u]) + 1 == deg[u] for u in routes[s])
-        for s in fireable
+        others + (counts[s] >= 2 * deg[s]) + sum(counts[u] + 1 == deg[u] for u in routes[s]) for s in fireable
     ]
     best = min(scores)
     calmest = [s for s, score in zip(fireable, scores) if score == best]
@@ -359,11 +361,12 @@ def _calmest(board: _Board, state: _State, fireable: list[int]) -> list[int]:
     return [s for s in calmest if level[s] == top_level]
 
 
-def _volmin_fireable(board: _Board, state: _State) -> list[int]:
+def _volmin_fireable(board: _Board, counts: Sequence[int]) -> list[int]:
     """The slots that survive the volatility-minimizing filter, in canonical
-    vertex order; empty exactly when the state is stable."""
-    fireable = _fireable(board, state)
-    return _calmest(board, state, fireable) if fireable else fireable
+    vertex order, given the chip count of each slot; empty exactly when the
+    state is stable."""
+    fireable = _fireable(board, counts)
+    return _calmest(board, counts, fireable) if fireable else fireable
 
 
 def _outcome(board: _Board, state: _State) -> Outcome:
@@ -377,7 +380,7 @@ def _outcome(board: _Board, state: _State) -> Outcome:
     rows = [state[s : s + m] for s in range(1, len(state), m)]
     if any(len(row[-1]) > 1 for row in rows):  # level m never fires on the packed state
         raise ShapeError(f"chips pile up on level {m} and must pass it, so the game cannot end in the stable shape")
-    if _fireable(board, state):
+    if _fireable(board, list(map(len, state))):
         raise ShapeError("configuration is not stable")
     if state[0] or any(len(labels) != 1 for row in rows for labels in row):
         raise ShapeError(f"stable configuration does not fill exactly levels 1..{m} of each branch")

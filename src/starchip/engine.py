@@ -60,8 +60,10 @@ def expected_fire_count(params: StarParams, v: Vertex) -> int:
     """How often vertex v fires when k*m center chips stabilize.
 
     Level j (center: j = 0) fires (m-j)(m-j+1)/2 times for j < m and never
-    otherwise, in every stabilization sequence.
+    otherwise, in every stabilization sequence. A vertex off the star
+    raises :func:`degree`'s ValueError.
     """
+    degree(params, v)
     return _fire_count(params.m, v.level)
 
 
@@ -200,7 +202,7 @@ class VolatilityMinimizing:
         self._rng = SplitMix64(seed)
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
-        slots = _calmest(board, state, fireable)
+        slots = _calmest(board, list(map(len, state)), fireable)
         sizes = [comb(len(state[s]), board.deg[s]) for s in slots]
         r = self._rng.randrange(sum(sizes))
         for s, size in zip(slots, sizes):
@@ -249,7 +251,7 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
     board = _board(params)
     deg, routes, vertex = board.deg, board.routes, board.vertex
     state = [list(labels) for labels in board.start]
-    fireable = _fireable(board, state)
+    fireable = _fireable(board, list(map(len, state)))
     moves: list[Move] = []
     while fireable:
         s, picked = strategy.pick(board, state, fireable)

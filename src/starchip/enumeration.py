@@ -9,8 +9,9 @@ move, and only two layers are ever held. After ``expected_total_fires``
 layers the counts are the stabilization-sequence counts of the stable
 outcomes, in Python's native big integers. A state is one int, in which slot
 s holds its labels as an n-bit mask at bits ``n*s`` (n = k*m); a fire adds a
-cached step to it. A layer groups its states by chip-count vector and unpacks
-only each group's first state, for the move filter, and the final states.
+cached step to it, summed from per-slot tables. A layer groups its states by
+chip-count vector, which is all the move filter reads, so the sweep unpacks
+only the label masks its step cache misses on, and the final states.
 """
 from __future__ import annotations
 
@@ -80,42 +81,58 @@ def _check_budget(params: StarParams, max_states: int | None, default_cells: int
 
 
 def _sweep(
-    params: StarParams, max_states: int | None, fire_slots: Callable[[_Board, _State], list[int]]
+    params: StarParams, max_states: int | None, fire_slots: Callable[[_Board, tuple[int, ...]], list[int]]
 ) -> dict[Outcome, int]:
     """Move sequences reaching each stable outcome when a state may fire the
-    slots ``fire_slots`` gives, which must read chip counts alone, as
-    ``_fireable`` and ``_volmin_fireable`` do; ``max_states`` bounds the
-    distinct states discovered over all layers, the start included."""
+    slots ``fire_slots`` gives for its chip-count vector, as ``_fireable``
+    and ``_volmin_fireable`` do; ``max_states`` bounds the distinct states
+    discovered over all layers, the start included.
+
+    A layer maps each chip-count vector to its states, so the filter runs
+    once per vector, on the vector itself. The step of firing chips at slot
+    s is the sum of one table entry per chip: ``moves[s][i][c]`` moves label
+    c from slot s to its i-th receiver, and slot s's table is built on its
+    first fire, so a search the budget stops early builds few. Each slot's
+    steps are cached by its label mask, and a mask is decoded only on a
+    cache miss; of the states, only the final ones are."""
     board = _board(params)
     deg, routes, n = board.deg, board.routes, params.n_chips
     full = (1 << n) - 1
 
     def labels_of(mask: int) -> tuple[int, ...]:
-        return tuple(c for c in range(1, n + 1) if mask >> c - 1 & 1)
+        labels = []
+        while mask:
+            labels.append((low := mask & -mask).bit_length())
+            mask ^= low
+        return tuple(labels)
 
     def state_of(key: int) -> _State:
         return tuple(labels_of(key >> n * s & full) for s in range(len(deg)))
 
+    moves: list[list[list[int]] | None] = [None] * len(deg)
     steps_of: list[dict[int, list[int]]] = [{} for _ in deg]
     total, states = expected_total_fires(params), 1
     layer = {tuple(map(len, board.start)): {full: 1}}
     for depth in range(1, total + 1):
         nxt: dict[tuple[int, ...], dict[int, int]] = {}
         for counts, group in layer.items():
-            slots = fire_slots(board, state_of(next(iter(group))))
+            slots = fire_slots(board, counts)
             if not slots:
                 raise ChipGameError(f"internal error: no legal move at depth {depth - 1} of {total}")
             for s in slots:
                 child_counts = [c + 1 if t in routes[s] else c for t, c in enumerate(counts)]
                 child_counts[s] -= deg[s]
                 children = nxt.setdefault(tuple(child_counts), {})
-                shift, cache = n * s, steps_of[s]
+                shift, cache, table = n * s, steps_of[s], moves[s]
+                if table is None:
+                    table = moves[s] = [
+                        [0] + [((1 << n * u) - (1 << shift)) << (c - 1) for c in range(1, n + 1)] for u in routes[s]
+                    ]
                 for key, paths in group.items():
                     steps = cache.get(here := key >> shift & full)
                     if steps is None:
                         steps = cache[here] = [
-                            sum(((1 << n * u) - (1 << shift)) << (c - 1) for u, c in zip(routes[s], chips))
-                            for chips in combinations(labels_of(here), deg[s])
+                            sum(map(list.__getitem__, table, chips)) for chips in combinations(labels_of(here), deg[s])
                         ]
                     for step in steps:
                         known = children.get(child := key + step)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .core import (
@@ -32,7 +33,10 @@ GENERATION_CELL_BUDGET = 12
 
 @dataclass(frozen=True)
 class Tableau:
-    """A rectangular filling with the labels 1..k*m, each used once.
+    """A rectangular filling with the labels 1..k*m, each used once. Each
+    entry is stored as the int ``operator.index`` gives, so a bool is stored
+    as its int, and an entry that is not an int, such as 4.0, raises
+    ValueError.
 
     ``is_standard`` holds when rows increase left to right and columns
     increase top to bottom; general fillings are allowed so that arbitrary
@@ -43,6 +47,10 @@ class Tableau:
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.rows)
+        try:
+            rows = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:
+            raise ValueError("tableau entries must be int labels") from None
         object.__setattr__(self, "rows", rows)
         if not rows or not rows[0]:
             raise ValueError("tableau must have at least one row and one column")

@@ -38,7 +38,8 @@ def packed(params: StarParams, placement: dict) -> list[list[int]]:
 
 def moves_on(board, state) -> list[Move]:
     """Every fire the packed kernel allows on ``state``, in canonical order."""
-    return [Move(board.vertex[s], chips) for s in _fireable(board, state) for chips in combinations(state[s], board.deg[s])]
+    slots = _fireable(board, list(map(len, state)))
+    return [Move(board.vertex[s], chips) for s in slots for chips in combinations(state[s], board.deg[s])]
 
 
 def test_star_import_binds_every_public_name():
@@ -269,7 +270,7 @@ def state_with_fire(draw):
     state = [[] for _ in board.vertex]
     for label, s in enumerate(placement, start=1):
         state[s].append(label)
-    fireable = _fireable(board, state)
+    fireable = _fireable(board, list(map(len, state)))
     assume(fireable)
     s = draw(st.sampled_from(fireable))
     chips = draw(st.sampled_from(list(combinations(state[s], board.deg[s]))))

@@ -85,7 +85,21 @@ class TestClosedForms:
         params = StarParams(1, 3)
         assert expected_fire_count(params, Vertex(1, 2)) == 1
         assert expected_fire_count(params, Vertex(1, 3)) == 0
-        assert expected_fire_count(params, Vertex(1, 9)) == 0
+        assert expected_fire_count(params, Vertex(1, 9)) == 0  # the star is infinite
+
+    @pytest.mark.parametrize(
+        "v, reason",
+        [
+            (Vertex(3, 1), "is not on a star with k=2"),
+            (Vertex(0, 1), "is not on a star with k=2"),
+            (Vertex(-1, 2), "is not on a star with k=2"),
+            (Vertex(1, 0), "malformed center vertex"),
+        ],
+        ids=["B(3,1)", "B(0,1)", "B(-1,2)", "Vertex(1,0)"],
+    )
+    def test_a_vertex_off_the_star_is_refused(self, v, reason):
+        with pytest.raises(ValueError, match=reason):
+            expected_fire_count(StarParams(2, 5), v)
 
     def test_totals(self):
         assert expected_total_fires(StarParams(1, 3)) == 10
@@ -432,7 +446,7 @@ class _Spy:
         self.picks = 0
 
     def pick(self, board, state, fireable):
-        assert fireable == _fireable(board, state)
+        assert fireable == _fireable(board, list(map(len, state)))
         self.picks += 1
         return self.inner.pick(board, state, fireable)
 

@@ -37,7 +37,7 @@ from oracles import (
 
 class TestEnumerateAll:
     def test_matches_naive_walk_on_tiny_games(self):
-        for k, m in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        for k, m in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (4, 2)]:
             result = enumerate_all(StarParams(k, m))
             assert result.per_outcome == dict(naive_sequence_counts(k, m))
             assert result.total_sequences == sum(result.per_outcome.values())
@@ -157,16 +157,16 @@ class TestReachableSet:
 
 class TestVolminFilter:
     # Packed states slot by slot: slot 0 is the center, then branch 1's
-    # levels 1..m, then branch 2's.
+    # levels 1..m, then branch 2's. The filter reads their chip counts.
     def test_only_center_fireable_passes_through(self):
         board = _board(StarParams(2, 2))
-        state = ((1, 2, 3, 4), (), (), (), ())
-        assert _volmin_fireable(board, state) == _fireable(board, state) == [0]
+        counts = tuple(map(len, ((1, 2, 3, 4), (), (), (), ())))
+        assert _volmin_fireable(board, counts) == _fireable(board, counts) == [0]
 
     def test_level_one_wave_after_two_center_fires(self):
         # C:{1,2} then C:{3,4}
         board = _board(StarParams(2, 2))
-        slots = _volmin_fireable(board, ((), (1, 3), (), (2, 4), ()))
+        slots = _volmin_fireable(board, tuple(map(len, ((), (1, 3), (), (2, 4), ()))))
         assert {board.vertex[s] for s in slots} == {Vertex(1, 1), Vertex(2, 1)}
 
     def test_tie_broken_toward_outer_vertex(self):
@@ -174,10 +174,11 @@ class TestVolminFilter:
         # fires on the packed state, so the outer vertex sits below it.
         board = _board(StarParams(2, 3))
         state = ((1, 2), (), (3, 4), (), (), (5,), (6,))
-        assert _packed_moves(board, state, _volmin_fireable(board, state)) == [Move(Vertex(1, 2), (3, 4))]
+        slots = _volmin_fireable(board, tuple(map(len, state)))
+        assert _packed_moves(board, state, slots) == [Move(Vertex(1, 2), (3, 4))]
 
     def test_empty_iff_stable(self):
-        assert _volmin_fireable(_board(StarParams(2, 2)), ((), (1,), (2,), (3,), (4,))) == []
+        assert _volmin_fireable(_board(StarParams(2, 2)), tuple(map(len, ((), (1,), (2,), (3,), (4,))))) == []
 
 
 class TestEnumerateVolmin:
@@ -237,9 +238,10 @@ def test_packed_kernel_matches_object_model(data):
         assert {naive_vertex(v) for v in board.vertex} >= set(cfg)
         assert state == [sorted(cfg.get(naive_vertex(v), ())) for v in board.vertex]
         moves = _naive_moves(cfg, k)
-        packed = [(naive_vertex(v), chips) for v, chips in _packed_moves(board, state, _fireable(board, state))]
+        counts = [len(labels) for labels in state]
+        packed = [(naive_vertex(v), chips) for v, chips in _packed_moves(board, state, _fireable(board, counts))]
         assert packed == moves
-        volmin = _packed_moves(board, state, _volmin_fireable(board, state))
+        volmin = _packed_moves(board, state, _volmin_fireable(board, counts))
         assert [(naive_vertex(v), chips) for v, chips in volmin] == naive_volmin_moves(cfg, k)
         if not moves:
             rows = tuple(tuple(next(iter(cfg[(i, j)])) for j in range(1, m + 1)) for i in range(1, k + 1))
@@ -260,7 +262,7 @@ def test_sweep_refuses_a_dead_end_before_the_last_layer():
 
 def test_sweep_filters_each_chip_count_vector_once():
     # the move filter reads chip counts alone, so the sweep asks it once per
-    # distinct count vector, with that group's first state in packed form
+    # distinct count vector, with that vector as a tuple of ints
     for k, m, fire_slots, expected in [
         (2, 4, _fireable, 143),
         (2, 4, _volmin_fireable, 46),
@@ -269,10 +271,11 @@ def test_sweep_filters_each_chip_count_vector_once():
     ]:
         seen = []
 
-        def spy(board, state):
-            assert isinstance(state, tuple) and all(isinstance(labels, tuple) for labels in state)
-            seen.append(tuple(map(len, state)))
-            return fire_slots(board, state)
+        def spy(board, counts):
+            assert isinstance(counts, tuple) and len(counts) == len(board.vertex)
+            assert all(type(c) is int for c in counts)
+            seen.append(counts)
+            return fire_slots(board, counts)
 
         _sweep(StarParams(k, m), None, spy)
         assert len(seen) == len(set(seen)) == expected, (k, m, fire_slots.__name__)

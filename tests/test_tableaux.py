@@ -36,6 +36,10 @@ class TestTableauBasics:
             Tableau(((1, 2), (3,)))
         with pytest.raises(ValueError):
             Tableau(((0, 1), (2, 3)))
+        with pytest.raises(ValueError, match="int labels"):  # 4.0 equals the label 4
+            Tableau(((1, 2), (3, 4.0)))
+        t = Tableau(((True, 2), (3, 4)))  # a bool is stored as its int
+        assert str(t) == "[1,2],[3,4]" and all(type(x) is int for row in t.rows for x in row)
 
     def test_shape_and_column(self):
         t = Tableau(((1, 2, 3), (4, 5, 6)))
