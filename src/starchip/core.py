@@ -198,15 +198,18 @@ def _check_fire(params: StarParams, v: Vertex, have: Iterable[int], fired: tuple
 # only for the final read-off. The move filters (_fireable, _volmin_fireable)
 # read only the chip count of each slot, which the sweep keys its groups by
 # and a game counts off its state. A game copies _Board.start into one list
-# of lists and fires in place on it (see _fire), so a fire touches only the
-# fired slot and its receivers; whoever reads that list while the game runs,
-# a strategy included, must not change it. A replay or a verifier reads no
-# labels off a slot, so it holds a _Replay instead: the slot of each label
-# and the chip count of each slot, and a fire touches only the fired chips
-# and the counts. Started from k*m chips on the center, level m never fires
-# (see _fire_count), so no chip passes it and the slots cover every
-# reachable state. Every reader here only indexes slots and takes their
-# length, so it reads a tuple of tuples and a list of lists alike.
+# of lists and fires in place on it (see _fire): the fired chips leave their
+# slot's list one by one and are inserted into their receivers' lists in
+# order, so a fire touches only the fired slot and its receivers, and each
+# list stays sorted, which lets a strategy draw from it without sorting it;
+# whoever reads that list while the game runs, a strategy included, must not
+# change it. A replay or a verifier reads no labels off a slot, so it holds a
+# _Replay instead: the slot of each label and the chip count of each slot,
+# and a fire touches only the fired chips and the counts. Started from k*m
+# chips on the center, level m never fires (see _fire_count), so no chip
+# passes it and the slots cover every reachable state. Every reader here
+# only indexes slots and takes their length, so it reads a tuple of tuples
+# and a list of lists alike.
 
 _State = Sequence[Sequence[int]]
 
@@ -269,13 +272,16 @@ def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...])
     """Fire ``chips`` at slot ``s`` in place on a game's packed state, by
     the routing rule of :func:`_receivers`: the i-th smallest chip goes to
     the slot's i-th receiver. ``chips`` must be a sorted size-degree subset
-    of slot ``s``'s labels.
+    of slot ``s``'s labels, and ``s`` must have routes.
 
-    Only slot ``s`` and its receivers change. Nothing is checked here:
-    fired labels that ``s`` does not hold are still routed, and ``s`` loses
-    only those it holds, so ``engine.stabilize_labeled`` tells an illegal
-    fire by how many chips left ``s`` and has ``engine.replay`` name it."""
-    state[s] = [c for c in state[s] if c not in chips]
+    Only slot ``s`` and its receivers change. Each chip leaves ``s`` by
+    ``list.remove``, so a chip that ``s`` does not hold, or one named twice,
+    raises ValueError before any chip is routed, with ``s`` part-emptied;
+    ``engine.stabilize_labeled`` then has ``engine.replay`` name the fire.
+    The size of ``chips`` and the routes of ``s`` are not checked here."""
+    held = state[s]
+    for c in chips:
+        held.remove(c)
     for u, c in zip(board.routes[s], chips):
         insort(state[u], c)
 
@@ -375,8 +381,14 @@ def _outcome(board: _Board, state: _State) -> Outcome:
     Requires the only stable shape reachable from the all-on-center start:
     one chip on each of the first m levels of every branch, none on the
     center, and the labels 1..k*m. Anything else raises ShapeError.
+
+    A state in that shape passes the first test and is read off at once;
+    only the others go through the checks that name what is wrong.
     """
     m, n = board.params.m, board.params.n_chips
+    flat = [labels[0] for labels in state[1:] if len(labels) == 1]
+    if not state[0] and len(flat) == n and sorted(flat) == list(range(1, n + 1)):
+        return tuple(tuple(flat[s : s + m]) for s in range(0, n, m))
     rows = [state[s : s + m] for s in range(1, len(state), m)]
     if any(len(row[-1]) > 1 for row in rows):  # level m never fires on the packed state
         raise ShapeError(f"chips pile up on level {m} and must pass it, so the game cannot end in the stable shape")
@@ -384,10 +396,7 @@ def _outcome(board: _Board, state: _State) -> Outcome:
         raise ShapeError("configuration is not stable")
     if state[0] or any(len(labels) != 1 for row in rows for labels in row):
         raise ShapeError(f"stable configuration does not fill exactly levels 1..{m} of each branch")
-    outcome = tuple(tuple(labels[0] for labels in row) for row in rows)
-    if sorted(c for row in outcome for c in row) != list(range(1, n + 1)):
-        raise ShapeError(f"the labels are not 1..{n}, each once")
-    return outcome
+    raise ShapeError(f"the labels are not 1..{n}, each once")
 
 
 def outcome_to_text(outcome: Outcome) -> str:

@@ -8,8 +8,8 @@ form: :func:`expected_fire_count`, and :func:`expected_total_fires`, the
 length of every labeled game. Games run on the packed state of
 :mod:`starchip.core`, one mutable copy of ``_Board.start`` per game, fired
 in place: a strategy names each fire as a slot and its chips, the driver
-checks each fire by the chips it took, and ``core._outcome`` reads the final
-state off. Replays hold only where each label is (``core._Replay``).
+checks each fire by its size and by the chips that leave the slot, and
+``core._outcome`` reads the final state off. Replays hold only where each label is (``core._Replay``).
 
 Seeded random trials run on every usable CPU: :func:`fork_trials` splits
 ``range(trials)`` into consecutive ranges and plays all but the first in
@@ -177,15 +177,14 @@ class Deterministic:
 
 class RandomUniform:
     """Uniform random play: pick a fireable vertex uniformly, then a uniform
-    random size-degree subset of its chips."""
+    random size-degree subset of its chips, both in one
+    ``SplitMix64.choose_subset`` call."""
 
     def __init__(self, seed: int):
         self._rng = SplitMix64(seed)
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
-        rng = self._rng
-        s = fireable[rng.randrange(len(fireable))]
-        return s, rng.subset(state[s], board.deg[s])
+        return self._rng.choose_subset(fireable, state, board.deg)
 
 
 class VolatilityMinimizing:
@@ -227,17 +226,19 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
     ``strategy``; return the canonical outcome matrix and the move log.
 
     The game holds one mutable packed state (see :mod:`starchip.core`), a
-    copy of ``_Board.start``, and fires on it in place with the unchecked
-    ``core._fire``, then checks what the fire did: a legal fire at slot s
-    names degree-many chips, s has routes (is below level m), and s loses
-    exactly degree-many chips. While every fire so far is legal, each slot
-    holds distinct labels, so s loses that many exactly when the chips are
-    distinct and all held; and level m never holds two chips from this
-    start. The first fire that fails the check is replayed with every check
-    by :func:`replay`, which raises IllegalMoveError naming its step, move,
-    reason and state. So is, at once, a fire that names a chip that is not
-    an int, such as 1.0. The driver logs and routes each chip as the int
-    ``operator.index`` gives, so a bool is played as its int.
+    copy of ``_Board.start``, and fires on it in place with ``core._fire``.
+    A legal fire at slot s names degree-many chips, s has routes (is below
+    level m), and each chip is on s. The driver checks the first two before
+    the fire; ``_fire`` takes each chip off s with ``list.remove``, which
+    raises ValueError for a chip s does not hold. While every fire so far is
+    legal, each slot holds distinct labels, so the removals all succeed
+    exactly when the chips are distinct and all held; and level m never
+    holds two chips from this start. The first fire that fails a check is
+    replayed with every check by :func:`replay`, which raises
+    IllegalMoveError naming its step, move, reason and state. So is, at
+    once, a fire that names a chip that is not an int, such as 1.0. The
+    driver logs and routes each chip as the int ``operator.index`` gives,
+    so a bool is played as its int, and keeps a tuple of chips as it is.
 
     A fire at slot s takes chips from s alone and adds one chip to each
     receiver, so the list of fireable slots the strategy reads, kept in
@@ -255,16 +256,19 @@ def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, 
     moves: list[Move] = []
     while fireable:
         s, picked = strategy.pick(board, state, fireable)
-        picked = tuple(picked)
+        if type(picked) is not tuple:
+            picked = tuple(picked)
         try:
             chips = tuple(sorted(map(index, picked)))
         except TypeError:  # a chip that is not an int
             moves.append(Move(vertex[s], picked))
             replay(params, moves)  # raises IllegalMoveError naming this fire
-        held = len(state[s])
-        _fire(board, state, s, chips)
         moves.append(Move(vertex[s], chips))
-        if len(chips) != deg[s] or not routes[s] or len(state[s]) != held - deg[s]:
+        if len(chips) != deg[s] or not routes[s]:
+            replay(params, moves)  # raises IllegalMoveError naming this fire
+        try:
+            _fire(board, state, s, chips)
+        except ValueError:  # a chip that s does not hold, or one named twice
             replay(params, moves)  # raises IllegalMoveError naming this fire
         if len(state[s]) < deg[s]:
             fireable.remove(s)

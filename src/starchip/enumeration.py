@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Callable
 
 from .core import (
@@ -94,7 +95,10 @@ def _sweep(
     c from slot s to its i-th receiver, and slot s's table is built on its
     first fire, so a search the budget stops early builds few. Each slot's
     steps are cached by its label mask, and a mask is decoded only on a
-    cache miss; of the states, only the final ones are."""
+    cache miss; of the states, only the final ones are. A miss whose fires
+    would pass ``max_states`` even if every state already in their child
+    group were among them raises before its steps are built, at the depth
+    the build would have raised at."""
     board = _board(params)
     deg, routes, n = board.deg, board.routes, params.n_chips
     full = (1 << n) - 1
@@ -108,6 +112,9 @@ def _sweep(
 
     def state_of(key: int) -> _State:
         return tuple(labels_of(key >> n * s & full) for s in range(len(deg)))
+
+    def over_budget(depth: int) -> BudgetExceededError:
+        return BudgetExceededError(f"state count exceeded max_states = {max_states} at depth {depth} of {total}")
 
     moves: list[list[list[int]] | None] = [None] * len(deg)
     steps_of: list[dict[int, list[int]]] = [{} for _ in deg]
@@ -128,9 +135,15 @@ def _sweep(
                     table = moves[s] = [
                         [0] + [((1 << n * u) - (1 << shift)) << (c - 1) for c in range(1, n + 1)] for u in routes[s]
                     ]
+                fires = comb(counts[s], deg[s])
                 for key, paths in group.items():
                     steps = cache.get(here := key >> shift & full)
                     if steps is None:
+                        # distinct chip sets give distinct children, so at least
+                        # fires - len(children) of them are new: refuse a build
+                        # that is sure to pass the budget before making it
+                        if max_states is not None and fires - len(children) > max_states - states:
+                            raise over_budget(depth)
                         steps = cache[here] = [
                             sum(map(list.__getitem__, table, chips)) for chips in combinations(labels_of(here), deg[s])
                         ]
@@ -138,9 +151,7 @@ def _sweep(
                         known = children.get(child := key + step)
                         if known is None:
                             if max_states is not None and states >= max_states:
-                                raise BudgetExceededError(
-                                    f"state count exceeded max_states = {max_states} at depth {depth} of {total}"
-                                )
+                                raise over_budget(depth)
                             states += 1
                             children[child] = paths
                         else:

@@ -9,12 +9,15 @@ cryptographic; it is a small, well-understood stream with good
 equidistribution for simulation use.
 
 A draw below n takes outputs until one lies below the largest multiple of n
-under 2^64 and returns it mod n. ``randrange`` and ``subset`` each run that
-loop inline. For n = 1 or 2 that multiple is 2^64 itself, so no output is
-ever rejected and each draw advances the state exactly once. When the value
-drawn does not matter either, as in ``randrange(1)`` or a ``subset`` that
-takes the whole of a pool of one or two, the state is advanced and the mix
-is skipped: the stream goes on exactly as if the outputs had been computed.
+under 2^64 and returns it mod n. ``randrange`` and ``choose_subset`` each
+run that loop inline; ``choose_subset`` draws an option and then a subset
+of its pool in one call, which is all a random fire draws, and ``subset``
+is ``choose_subset`` among one option. For n = 1 or 2 that multiple is
+2^64 itself, so no output is ever rejected and each draw advances the state
+exactly once. When the value drawn does not matter either, as in
+``randrange(1)``, a choice among one option or a subset that takes the
+whole of a pool of one or two, the state is advanced and the mix is
+skipped: the stream goes on exactly as if the outputs had been computed.
 
 One output cannot cover a range n > 2^64. There each try of ``randrange``
 takes w outputs, w being the number of 64-bit words n - 1 needs, joins them
@@ -93,16 +96,49 @@ class SplitMix64:
 
         Drawn by sequential removal without replacement, which induces the
         uniform distribution on subsets: the same draws, in the same order,
-        as ``size`` calls of ``randrange(len(left))``.
+        as ``size`` calls of ``randrange(len(left))``. It is
+        :meth:`choose_subset` among one option, whose draw advances the
+        state by one step and mixes nothing, so the state is stepped back
+        first.
         """
-        items = sorted(pool)
-        n = len(items)
-        if size > n:
-            raise ValueError(f"cannot draw {size} items from {n}")
+        self._state = (self._state - _GOLDEN) & _MASK64
+        return self.choose_subset((0,), (sorted(pool),), (size,))[1]
+
+    def choose_subset(self, options, pools, sizes) -> tuple:
+        """A uniform option o of ``options`` and a uniform random
+        ``sizes[o]``-subset of ``pools[o]``, as ``(o, chips)`` with the
+        chips sorted. Each pool must be sorted.
+
+        The same draws, in the same order, and the same result as
+        ``randrange(len(options))`` followed by ``subset(pools[o], sizes[o])``,
+        without the calls or the sorting of an already sorted pool.
+        """
+        n = len(options)
+        if not n:
+            raise ValueError("cannot choose from an empty sequence")
         z = self._state
+        if n == 1:
+            z = (z + _GOLDEN) & _MASK64
+            o = options[0]
+        else:
+            limit = _TWO64 - _TWO64 % n
+            while True:
+                z = (z + _GOLDEN) & _MASK64
+                r = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                r = ((r ^ (r >> 27)) * 0x94D049BB133111EB) & _MASK64
+                r ^= r >> 31
+                if r < limit:
+                    break
+            o = options[r % n]
+        pool, size = pools[o], sizes[o]
+        n = len(pool)
+        if size > n:
+            self._state = z
+            raise ValueError(f"cannot draw {size} items from {n}")
         if size == n <= 2:
             self._state = (z + size * _GOLDEN) & _MASK64
-            return tuple(items)
+            return o, tuple(pool)
+        items = list(pool)
         picked = []
         for left in range(n, n - size, -1):
             limit = _TWO64 - _TWO64 % left
@@ -115,4 +151,5 @@ class SplitMix64:
                     break
             picked.append(items.pop(r % left))
         self._state = z
-        return tuple(sorted(picked))
+        picked.sort()
+        return o, tuple(picked)

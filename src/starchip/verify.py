@@ -166,30 +166,29 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
         return VerifierReport((Violation("fire-count-mismatch", (), str(e)),))
     violations: list[Violation] = []
 
-    def require_before(u: int, g: int, s: int, f: int, rule: str) -> None:
-        """Slot u's g-th fire from the end must precede slot s's f-th, if
-        both are endgame fires."""
-        if g < len(times[u]) and times[u][g] >= times[s][f]:
-            earlier, later = FireRef(board.vertex[u], g), FireRef(board.vertex[s], f)
-            violations.append(
-                Violation(
-                    rule,
-                    (earlier, later),
-                    f"{earlier.vertex}^{g} at index {times[u][g]} "
-                    f"must precede {later.vertex}^{f} at index {times[s][f]}",
-                )
-            )
+    def late(rule: str, u: int, g: int, s: int, f: int) -> None:
+        """Report that slot u's g-th fire from the end did not precede slot
+        s's f-th, as ``rule`` requires."""
+        earlier, later = FireRef(board.vertex[u], g), FireRef(board.vertex[s], f)
+        detail = f"{earlier.vertex}^{g} at index {times[u][g]} must precede {later.vertex}^{f} at index {times[s][f]}"
+        violations.append(Violation(rule, (earlier, later), detail))
 
     for s in board.firing:
-        receivers = board.routes[s]
-        for f in range(len(times[s])):
-            if s == 0:  # the center
-                for u in receivers:
-                    require_before(u, f, s, f, "branch-precedes-center")
-            else:
-                inner, outer = receivers
-                require_before(inner, f + 1, s, f, "inner-refire-precedes")
-                require_before(outer, f, s, f, "outer-precedes")
+        mine = times[s]
+        if s == 0:  # the center
+            receivers = [(u, times[u]) for u in board.routes[0]]
+            for f, t in enumerate(mine):
+                for u, theirs in receivers:
+                    if f < len(theirs) and theirs[f] >= t:
+                        late("branch-precedes-center", u, f, s, f)
+        else:
+            inner, outer = board.routes[s]
+            refires, outs = times[inner], times[outer]  # inner has one endgame fire more than s
+            for f, t in enumerate(mine):
+                if refires[f + 1] >= t:
+                    late("inner-refire-precedes", inner, f + 1, s, f)
+                if f < len(outs) and outs[f] >= t:
+                    late("outer-precedes", outer, f, s, f)
     return VerifierReport(tuple(violations + replayed))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -118,6 +119,31 @@ def test_max_states_below_one_exits_2(capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: max_states must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "volmin"])
+def test_a_first_fire_past_the_state_budget_is_refused_before_its_moves_are_built(command):
+    # The first center fire of (4,40) has C(160, 4) = 26,294,360 moves;
+    # building their steps before counting the states they add ran out
+    # of a 2 GB address space and exited 1, the code of a failed check.
+    resource = pytest.importorskip("resource")
+    limit = 2_000_000 * 1024
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "starchip.cli", command, "--k", "4", "--m", "40", "--max-states", "100"],
+        env=env,
+        capture_output=True,
+        timeout=60,
+        preexec_fn=cap_address_space,
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr == b"error: state count exceeded max_states = 100 at depth 1 of 43460\n"
 
 
 class TestVolmin:

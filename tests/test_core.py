@@ -176,6 +176,16 @@ class TestApplyMove:
         assert err.reason == "vertex is not on a star with k=2"
         assert replayed.state() == [[1, 2, 3, 4], [], [], [], []]
 
+    @pytest.mark.parametrize("chips", [(1, 5), (2, 2), (3, 9)])
+    def test_fire_refuses_a_chip_the_slot_does_not_hold(self, chips):
+        # 5 is on a branch, 2 is named twice and no label 9 exists; no
+        # chip reaches a receiver
+        board = _board(StarParams(2, 3))
+        state = packed(board.params, {CENTER: {1, 2, 3, 4, 6}, Vertex(1, 1): {5}})
+        with pytest.raises(ValueError):
+            _fire(board, state, 0, chips)
+        assert state[1:] == [[5], [], [], [], [], []]
+
 
 class TestCanonicalOutcome:
     # core._outcome on packed states written out slot by slot

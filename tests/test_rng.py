@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from oracles import ReferenceSplitMix64
+from oracles import ReferenceSplitMix64, naive_play
+from starchip import CENTER, RandomUniform, StarParams, stabilize_labeled
 from starchip.rng import _GOLDEN, _MASK64, SplitMix64, derive_seed
 
 # The first raw draw from this seed is 2^64 - 1, the one value every range
@@ -98,6 +99,34 @@ def test_subset_follows_the_reference_stream_for_every_size():
                 assert rng._state == ref.state, (seed, n, size)
 
 
+# Sorted pools of 0..12 labels; option lists of one, two, three and seven
+# options, so the option draw is skipped, never rejects, or may reject.
+POOLS = [tuple(range(5, 5 + 3 * n, 3)) for n in range(13)]
+OPTION_LISTS = [[4], [0, 12], [3, 7, 11], [12, 10, 8, 6, 4, 2, 0]]
+
+
+def test_choose_subset_makes_the_draws_of_randrange_then_subset():
+    for seed in _seeds():
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        for options in OPTION_LISTS:
+            for size in range(13):  # every size up to each pool's length
+                sizes = [min(size, len(pool)) for pool in POOLS]
+                o = options[ref.randrange(len(options))]
+                want = (o, ref.subset(POOLS[o], sizes[o]))
+                assert rng.choose_subset(options, POOLS, sizes) == want, (seed, options, size)
+                assert rng._state == ref.state, (seed, options, size)
+
+
+def test_choose_subset_refuses_what_randrange_and_subset_refuse():
+    with pytest.raises(ValueError):
+        SplitMix64(0).choose_subset([], POOLS, [0] * 13)
+    rng, ref = SplitMix64(3), ReferenceSplitMix64(3)
+    with pytest.raises(ValueError, match="cannot draw 3 items from 2"):
+        rng.choose_subset([0, 2], [(1, 2)] * 3, [3] * 3)
+    ref.randrange(2)
+    assert rng._state == ref.state  # the option was drawn, as by randrange
+
+
 class TestRejectionPath:
     def test_the_first_raw_draw_is_the_largest(self):
         assert SplitMix64(REJECTING_SEED).next_u64() == _MASK64
@@ -123,3 +152,63 @@ class TestRejectionPath:
         rng = SplitMix64(REJECTING_SEED)
         assert rng.randrange(3 << 64) == ReferenceSplitMix64(REJECTING_SEED).randrange(3 << 64)
         assert rng._state == (REJECTING_SEED + 4 * _GOLDEN) & _MASK64
+
+    def test_choose_subset_rejects_it_in_the_option_draw(self):
+        rng = SplitMix64(REJECTING_SEED)
+        ref = ReferenceSplitMix64(REJECTING_SEED)
+        o = OPTION_LISTS[2][ref.randrange(3)]
+        assert rng.choose_subset(OPTION_LISTS[2], POOLS, [2] * 13) == (o, ref.subset(POOLS[o], 2))
+        assert rng._state == ref.state == (REJECTING_SEED + 4 * _GOLDEN) & _MASK64
+
+    def test_choose_subset_rejects_it_in_a_chip_draw(self):
+        # one option takes no mix, so the first chip draw gets the output
+        seed = (REJECTING_SEED - _GOLDEN) & _MASK64
+        rng = SplitMix64(seed)
+        want = ReferenceSplitMix64(REJECTING_SEED).subset(POOLS[3], 3)
+        assert rng.choose_subset([3], POOLS, [3] * 13) == (3, want)
+        assert rng._state == (seed + 5 * _GOLDEN) & _MASK64
+
+
+class _ReferenceRandomPlay:
+    """Random play on the reference stream, a slot and then its chips one
+    at a time, as ``naive_play`` draws them; notes which kinds of draw
+    ("slot", "chip") rejected an output and drew again."""
+
+    def __init__(self, seed):
+        self.rng = ReferenceSplitMix64(seed)
+        self.rejected = set()
+
+    def draw(self, kind, n):
+        before = self.rng.state
+        r = self.rng.randrange(n)
+        if self.rng.state != (before + _GOLDEN) & _MASK64:
+            self.rejected.add(kind)
+        return r
+
+    def pick(self, board, state, fireable):
+        s = fireable[self.draw("slot", len(fireable))]
+        pool = list(state[s])
+        return s, [pool.pop(self.draw("chip", len(pool))) for _ in range(board.deg[s])]
+
+
+@pytest.mark.parametrize("k, m", [(3, 3), (2, 4), (4, 2)])
+def test_games_whose_slot_or_chip_draw_rejects_match_the_naive_driver(k, m):
+    # Seed REJECTING_SEED - j * golden hands the all-ones output to the
+    # game's j+1-th output. Of the first 60 such seeds, keep the first whose
+    # game rejects it in a slot draw and the first that rejects it in a
+    # chip draw; both games must be played fire for fire as naive_play
+    # plays them.
+    params = StarParams(k, m)
+    found = {}
+    for j in range(60):
+        seed = (REJECTING_SEED - j * _GOLDEN) & _MASK64
+        reference = _ReferenceRandomPlay(seed)
+        _, want = stabilize_labeled(params, reference)
+        for kind in reference.rejected - set(found):
+            found[kind] = (seed, want)
+    assert set(found) == {"slot", "chip"}
+    for seed, want in found.values():
+        _, log = stabilize_labeled(params, RandomUniform(seed))
+        assert log == want
+        moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
+        assert moves == naive_play(k, m, "random", seed)
