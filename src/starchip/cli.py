@@ -17,18 +17,14 @@ import argparse
 import json
 import sys
 from collections import Counter
+from typing import Iterable
 
 from .core import ChipGameError, StarParams, outcome_to_text
 from .engine import _STRATEGY_NAMES, fork_trials, make_strategy, random_games, replay, stabilize_labeled
 from .enumeration import DEFAULT_CELL_BUDGET, enumerate_all, enumerate_volmin, reachable_set
 from .reports import emit_table, run_montecarlo, write_atomic
 from .tableaux import count_rect_syt, from_outcome, generate_syts, to_outcome, witness_sequence
-from .verify import check_game
-
-
-def _add_km(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, required=True, help="number of branches (>= 1)")
-    parser.add_argument("--m", type=int, required=True, help="levels filled per branch (>= 1)")
+from .verify import GameCheck
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -41,8 +37,11 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_stabilize(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
     strategy = make_strategy(args.strategy, args.seed)
-    outcome, log = stabilize_labeled(params, strategy)
-    checks = check_game(outcome, log) if args.verify else {}
+    check = GameCheck(params) if args.verify else None
+    # a verified game is checked as it is played; only the JSON document prints its moves
+    outcome, log = stabilize_labeled(params, strategy, log=args.json or not check, check=check and check.fire)
+    checks = check.verdicts(outcome) if check else {}
+    fires = check.fires if log is None else len(log)
     if args.json:
         doc = {
             "k": params.k,
@@ -50,7 +49,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
             "strategy": args.strategy,
             "seed": args.seed,
             "outcome": [list(row) for row in outcome],
-            "fires": len(log),
+            "fires": fires,
             "moves": [str(mv) for mv in log],
         }
         if args.verify:
@@ -58,7 +57,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         sys.stdout.write(f"outcome: {outcome_to_text(outcome)}\n")
-        sys.stdout.write(f"fires: {len(log)}\n")
+        sys.stdout.write(f"fires: {fires}\n")
         if args.verify:
             summary = " ".join(f"{name}={'pass' if ok else 'FAIL'}" for name, ok in checks.items())
             sys.stdout.write(f"verification: {summary}\n")
@@ -144,10 +143,10 @@ def _verify_range(params: StarParams, part: range, seed: int) -> tuple:
     fire_counts = set()
     outcomes = set()
     first = None
-    for i, (trial_seed, outcome, log) in zip(part, random_games(params, part, seed)):
+    for i, (trial_seed, outcome, check) in zip(part, random_games(params, part, seed, lambda: GameCheck(params))):
         outcomes.add(outcome)
-        fire_counts.add(tuple((*v, fires) for v, fires in sorted(log.per_vertex_fire_count.items())))
-        failed = [name for name, ok in check_game(outcome, log).items() if not ok]
+        fire_counts.add(tuple((*v, fires) for v, fires in sorted(check.per_vertex_fire_count.items())))
+        failed = [name for name, ok in check.verdicts(outcome).items() if not ok]
         if failed and first is None:
             first = (i, trial_seed, failed)
         failures.update(failed)
@@ -194,61 +193,62 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "stabilize": "play one game to stability",
+    "enumerate": "count all stabilization sequences",
+    "volmin": "outcomes under volatility-minimizing play",
+    "syt": "count or list standard tableaux",
+    "montecarlo": "seeded random-play frequency experiment",
+    "verify": "random logs through all verifiers",
+}
+"""The help line of each command; command NAME runs ``cmd_NAME``."""
+
+
+def build_parser(commands: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """The parser of every command, or of those named in ``commands``; the
+    usage line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="starchip",
         description="Labeled chip-firing on subdivided star graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stabilize", help="play one game to stability")
-    _add_km(p)
-    p.add_argument("--strategy", choices=_STRATEGY_NAMES, default="det")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--verify", action="store_true", help="run all checks on the produced log")
-    p.set_defaults(func=cmd_stabilize)
-
-    p = sub.add_parser("enumerate", help="count all stabilization sequences")
-    _add_km(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write output to FILE atomically")
-    p.add_argument("--max-states", type=int, default=None, help="state budget; overrides the k*m cap")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("volmin", help="outcomes under volatility-minimizing play")
-    _add_km(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-states", type=int, default=None, help="state budget; overrides the k*m cap")
-    p.set_defaults(func=cmd_volmin)
-
-    p = sub.add_parser("syt", help="count or list standard tableaux")
-    _add_km(p)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--witness", action="store_true", help="replay a witness script per tableau")
-    p.set_defaults(func=cmd_syt)
-
-    p = sub.add_parser("montecarlo", help="seeded random-play frequency experiment")
-    _add_km(p)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", help="write output to FILE atomically")
-    form = p.add_mutually_exclusive_group()
-    form.add_argument("--json", action="store_true")
-    form.add_argument("--with-enumeration", action="store_true", help="append the sequence-count table")
-    p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("verify", help="random logs through all verifiers")
-    _add_km(p)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
-
+    commands = list(commands)
+    metavar = None if len(commands) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in commands:
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        p.set_defaults(func=globals()[f"cmd_{name}"])  # looked up as the parser is built, so a patched one runs
+        p.add_argument("--k", type=int, required=True, help="number of branches (>= 1)")
+        p.add_argument("--m", type=int, required=True, help="levels filled per branch (>= 1)")
+        if name == "stabilize":
+            p.add_argument("--strategy", choices=_STRATEGY_NAMES, default="det")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--json", action="store_true")
+            p.add_argument("--verify", action="store_true", help="run all checks on the produced log")
+        elif name in ("enumerate", "volmin"):
+            p.add_argument("--json", action="store_true")
+            if name == "enumerate":
+                p.add_argument("--out", help="write output to FILE atomically")
+            p.add_argument("--max-states", type=int, default=None, help="state budget; overrides the k*m cap")
+        elif name == "syt":
+            p.add_argument("--list", action="store_true")
+            p.add_argument("--witness", action="store_true", help="replay a witness script per tableau")
+        elif name == "montecarlo":
+            p.add_argument("--trials", type=int, required=True)
+            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--out", help="write output to FILE atomically")
+            form = p.add_mutually_exclusive_group()
+            form.add_argument("--json", action="store_true")
+            form.add_argument("--with-enumeration", action="store_true", help="append the sequence-count table")
+        else:  # verify
+            p.add_argument("--samples", type=int, required=True)
+            p.add_argument("--seed", type=int, required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call builds the parser of its own command alone; -h, a typo or no command gets all of them
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

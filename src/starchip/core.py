@@ -190,26 +190,18 @@ def _check_fire(params: StarParams, v: Vertex, have: Iterable[int], fired: tuple
         raise IllegalMoveError(v, fired, f"chips not present (vertex holds {sorted(have)})")
 
 
-# Packed state: what the exhaustive searches and the game drivers run on,
-# from _Board.start to the matrix _outcome reads off. It is indexed by vertex
-# slot, slot 0 being the center and slot 1 + (i-1)*m + (j-1) branch i,
-# level j, and each slot holds its labels in ascending order. The sweep keeps
-# each state as one int (see enumeration._sweep) and decodes it into slots
-# only for the final read-off. The move filters (_fireable, _volmin_fireable)
-# read only the chip count of each slot, which the sweep keys its groups by
-# and a game counts off its state. A game copies _Board.start into one list
-# of lists and fires in place on it (see _fire): the fired chips leave their
-# slot's list one by one and are inserted into their receivers' lists in
-# order, so a fire touches only the fired slot and its receivers, and each
-# list stays sorted, which lets a strategy draw from it without sorting it;
-# whoever reads that list while the game runs, a strategy included, must not
-# change it. A replay or a verifier reads no labels off a slot, so it holds a
-# _Replay instead: the slot of each label and the chip count of each slot,
-# and a fire touches only the fired chips and the counts. Started from k*m
-# chips on the center, level m never fires (see _fire_count), so no chip
-# passes it and the slots cover every reachable state. Every reader here
-# only indexes slots and takes their length, so it reads a tuple of tuples
-# and a list of lists alike.
+# Packed state: what the searches and the games run on, from _Board.start to
+# the matrix _outcome reads off. Slot 0 is the center and slot
+# 1 + (i-1)*m + (j-1) branch i, level j; each slot holds its labels in
+# ascending order. The sweep keeps a state as one int (enumeration._sweep).
+# The move filters (_fireable, _volmin_fireable) read only chip counts. A
+# game fires in place on one list of lists (_fire), which stays sorted, so a
+# strategy draws from it unsorted and must not change it. A replay or a
+# verifier holds a _Replay instead, the slot of each label and the chip
+# count of each slot. From k*m chips on the center level m never fires
+# (_fire_count), so the slots cover every reachable state. Readers only
+# index slots and take lengths, so tuples of tuples and lists of lists serve
+# alike.
 
 _State = Sequence[Sequence[int]]
 
@@ -269,16 +261,11 @@ def _fireable(board: _Board, counts: Sequence[int]) -> list[int]:
 
 
 def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...]) -> None:
-    """Fire ``chips`` at slot ``s`` in place on a game's packed state, by
-    the routing rule of :func:`_receivers`: the i-th smallest chip goes to
-    the slot's i-th receiver. ``chips`` must be a sorted size-degree subset
-    of slot ``s``'s labels, and ``s`` must have routes.
-
-    Only slot ``s`` and its receivers change. Each chip leaves ``s`` by
-    ``list.remove``, so a chip that ``s`` does not hold, or one named twice,
-    raises ValueError before any chip is routed, with ``s`` part-emptied;
-    ``engine.stabilize_labeled`` then has ``engine.replay`` name the fire.
-    The size of ``chips`` and the routes of ``s`` are not checked here."""
+    """Fire the sorted ``chips`` at slot ``s``, which has routes, in place by
+    the routing rule of :func:`_receivers`. Only ``s`` and its receivers
+    change. A chip ``s`` does not hold, or one named twice, raises
+    ValueError from ``list.remove`` before any chip is routed, with ``s``
+    part-emptied. The number of chips is not checked here."""
     held = state[s]
     for c in chips:
         held.remove(c)
@@ -289,15 +276,12 @@ def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...])
 class _Replay:
     """A replay's state, started from ``_Board.start``: ``where[c]`` is the
     slot of label c (``where[0]`` is unused) and ``count[s]`` the number of
-    chips on slot s. The board's tables ride along for :meth:`fire`.
+    chips on slot s.
 
-    :meth:`fire` accepts exactly the legal moves and refuses the others
-    with :func:`_check_fire`'s IllegalMoveError text, as the differential
-    test against the reference model in ``tests/oracles.py`` pins; a
-    refused move leaves the state as it was. From the all-on-center start,
-    level m never holds two chips (level m-1 fires once in every
-    stabilization, and no legal sequence fires a vertex more often), so no
-    fire there is accepted."""
+    :meth:`fire` accepts exactly the legal moves, as the differential test
+    against ``tests/oracles.py`` pins, and refuses the others with
+    :func:`_check_fire`'s IllegalMoveError, leaving the state as it was.
+    Level m never holds two chips from this start, so it never fires."""
 
     __slots__ = ("board", "deg", "routes", "n", "where", "count")
 
@@ -309,22 +293,18 @@ class _Replay:
             for c in labels:
                 self.where[c] = s
 
-    def fire(self, s: int | None, move: Move) -> None:
-        """Fire ``move`` in place; ``s`` is ``board.slot.get(move.vertex)``,
-        which every caller has at hand.
-
-        A fire is legal when its vertex has a slot, it names degree-many
-        chips in a tuple, they are ints that strictly increase within
-        1..k*m, and each sits on the slot. Only a refused fire lists the
-        slot's labels, in ascending order (none if ``s`` is None), for
-        :func:`_check_fire` to name what is wrong."""
-        v, chips = move
-        where, count = self.where, self.count
+    def fire(self, s: int | None, chips: tuple[int, ...], v: Vertex | None = None) -> None:
+        """Fire ``chips`` at vertex ``v``, whose slot ``s`` is
+        ``board.slot.get(v)``; only a refused fire reads ``v``, by default
+        the vertex of ``s``. A fire is legal when ``s`` is not None and the
+        chips are a tuple of degree-many ints, strictly increasing within
+        1..k*m, each on ``s``."""
+        where, count, n = self.where, self.count, self.n
         if s is not None and isinstance(chips, tuple) and len(chips) == self.deg[s]:
             last = 0
             try:
                 for c in chips:
-                    if not last < c <= self.n or where[c] != s:
+                    if not last < c <= n or where[c] != s:
                         break
                     last = c
                 else:
@@ -335,8 +315,10 @@ class _Replay:
                     return
             except TypeError:  # a label that is not an int cannot index where
                 pass
-        _check_fire(self.board.params, v, [c for c in range(1, self.n + 1) if where[c] == s], chips)
-        raise AssertionError(f"_check_fire accepts {move}, which the replay refuses")
+        if v is None:
+            v = self.board.vertex[s]
+        _check_fire(self.board.params, v, [c for c in range(1, n + 1) if where[c] == s], chips)
+        raise AssertionError(f"_check_fire accepts {Move(v, chips)}, which the replay refuses")
 
     def state(self) -> list[list[int]]:
         """The packed state: every slot's labels, in ascending order."""

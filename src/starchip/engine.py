@@ -5,20 +5,13 @@ stabilization sequences from a fixed start agree in length and in how often
 each vertex fires (confluence). Starting from k*m chips on the center, the
 one start of the labeled game (``_Board.start``), those counts have a closed
 form: :func:`expected_fire_count`, and :func:`expected_total_fires`, the
-length of every labeled game. Games run on the packed state of
-:mod:`starchip.core`, one mutable copy of ``_Board.start`` per game, fired
-in place: a strategy names each fire as a slot and its chips, the driver
-checks each fire by its size and by the chips that leave the slot, and
-``core._outcome`` reads the final state off. Replays hold only where each label is (``core._Replay``).
-
-Seeded random trials run on every usable CPU: :func:`fork_trials` splits
-``range(trials)`` into consecutive ranges and plays all but the first in
-children made with ``os.fork``. Trial i depends only on (params, seed, i),
-so the output does not depend on the number of CPUs. It forks only where
-``os.fork`` exists, the process runs one thread, and every process gets at
-least FORK_MIN_FIRES fires of work (trials times
-:func:`expected_total_fires`); otherwise every trial runs in the calling
-process.
+length of every labeled game. A game fires in place on one copy of
+``_Board.start``, the packed state of :mod:`starchip.core`: a strategy
+names each fire as a slot and its chips, the driver checks it, hands it to
+a per-fire check if there is one and logs it if asked to. Replays hold only
+where each label is (``core._Replay``). Seeded random trials run on every
+usable CPU (:func:`fork_trials`), and the output does not depend on how
+many there are.
 """
 from __future__ import annotations
 
@@ -30,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from operator import index
-from typing import Callable, Iterable, Iterator, Protocol, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar
 
 from .core import (
     CENTER,
@@ -44,6 +37,7 @@ from .core import (
     _State,
     _board,
     _calmest,
+    _check_fire,
     _Replay,
     _fire,
     _fire_count,
@@ -154,15 +148,11 @@ class Strategy(Protocol):
     """What :func:`stabilize_labeled` asks of a strategy."""
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, Iterable[int]]:
-        """The next fire on the game's packed state (see :mod:`starchip.core`),
-        as a slot and the set of chips it fires there, in any order: the
-        driver sorts them into the tuple the log records. Chips are int
-        labels; a bool is logged and played as its int.
-
-        ``state`` is the game's one mutable state and ``fireable`` the
-        driver's list of its fireable slots in canonical vertex order, never
-        empty; the driver changes both after each fire. A strategy reads
-        them and must not change them. A fire the rules forbid ends the
+        """The next fire, as a slot of the board and the int labels it fires
+        there, in any order. ``state`` is the game's packed state (see
+        :mod:`starchip.core`) and ``fireable`` its fireable slots in
+        canonical vertex order, never empty; the driver changes both after
+        each fire, and a strategy must not. A fire the rules forbid ends the
         game with :func:`replay`'s IllegalMoveError."""
 
 
@@ -221,75 +211,94 @@ def make_strategy(name: str, seed: int = 0) -> Strategy:
     return _STRATEGIES[name](seed)
 
 
-def stabilize_labeled(params: StarParams, strategy: Strategy) -> tuple[Outcome, SequenceLog]:
+def stabilize_labeled(
+    params: StarParams, strategy: Strategy, *, log: bool = True, check: Callable[[int, tuple], object] | None = None
+) -> tuple[Outcome, SequenceLog | None]:
     """Play one game from all chips on the center with moves chosen by
-    ``strategy``; return the canonical outcome matrix and the move log.
+    ``strategy``; return the outcome and the move log, or None for the log
+    when ``log`` is false. ``check``, if given, is called with the slot and
+    the chips of each fire once it is made, so a ``verify.GameCheck``
+    checks a game that keeps no log.
 
-    The game holds one mutable packed state (see :mod:`starchip.core`), a
-    copy of ``_Board.start``, and fires on it in place with ``core._fire``.
-    A legal fire at slot s names degree-many chips, s has routes (is below
-    level m), and each chip is on s. The driver checks the first two before
-    the fire; ``_fire`` takes each chip off s with ``list.remove``, which
-    raises ValueError for a chip s does not hold. While every fire so far is
-    legal, each slot holds distinct labels, so the removals all succeed
-    exactly when the chips are distinct and all held; and level m never
-    holds two chips from this start. The first fire that fails a check is
-    replayed with every check by :func:`replay`, which raises
-    IllegalMoveError naming its step, move, reason and state. So is, at
-    once, a fire that names a chip that is not an int, such as 1.0. The
-    driver logs and routes each chip as the int ``operator.index`` gives,
-    so a bool is played as its int, and keeps a tuple of chips as it is.
+    A legal fire names a slot with routes (below level m) and degree-many
+    chips, all on it. The driver checks the slot and the count, and
+    ``_fire`` takes each chip off the slot with ``list.remove``, which
+    raises ValueError for a chip it does not hold or one named twice. The
+    first fire that fails ends the game with the IllegalMoveError
+    :func:`replay` raises for the same moves; a chip that is not an int,
+    such as 1.0, fails at once, and a slot that is not an int in
+    ``range(len(state))`` is named as such. Chips are logged and routed as
+    the ints ``operator.index`` gives, so a bool plays as its int.
 
-    A fire at slot s takes chips from s alone and adds one chip to each
-    receiver, so the list of fireable slots the strategy reads, kept in
-    canonical vertex order, changes in two ways only: s leaves it when it
-    drops below its degree, and a receiver with routes joins it when its
-    new chip brings it exactly to its degree. Legal chip-firing from
-    finitely many chips stops (Björner, Lovász and Shor, 1991), so the game
-    needs no length bound: it runs until nothing can fire, after
-    expected_total_fires fires.
+    A fire at slot s changes only s and its receivers, so the fireable
+    list the strategy reads, kept in canonical vertex order, loses s when
+    it drops below its degree and gains a receiver with routes that its new
+    chip brings to its degree. Legal chip-firing from finitely many chips
+    stops (Björner, Lovász and Shor, 1991), after expected_total_fires
+    fires.
     """
     board = _board(params)
     deg, routes, vertex = board.deg, board.routes, board.vertex
     state = [list(labels) for labels in board.start]
     fireable = _fireable(board, list(map(len, state)))
-    moves: list[Move] = []
+    moves: list[Move] | None = [] if log else None
+    t = 0
     while fireable:
-        s, picked = strategy.pick(board, state, fireable)
-        if type(picked) is not tuple:
-            picked = tuple(picked)
+        t += 1
+        s, chips = strategy.pick(board, state, fireable)
+        if type(chips) is not tuple:
+            chips = tuple(chips)
         try:
-            chips = tuple(sorted(map(index, picked)))
-        except TypeError:  # a chip that is not an int
-            moves.append(Move(vertex[s], picked))
-            replay(params, moves)  # raises IllegalMoveError naming this fire
-        moves.append(Move(vertex[s], chips))
-        if len(chips) != deg[s] or not routes[s]:
-            replay(params, moves)  # raises IllegalMoveError naming this fire
-        try:
+            chips = tuple(sorted(map(index, chips)))
+            if s < 0 or len(chips) != deg[s] or not routes[s]:
+                raise ValueError
             _fire(board, state, s, chips)
-        except ValueError:  # a chip that s does not hold, or one named twice
-            replay(params, moves)  # raises IllegalMoveError naming this fire
+        except (TypeError, ValueError, IndexError):  # a chip or a slot that is not one
+            raise _refused(board, state, t, s, chips) from None
+        if moves is not None:
+            moves.append(Move(vertex[s], chips))
+        if check is not None:
+            check(s, chips)
         if len(state[s]) < deg[s]:
             fireable.remove(s)
         for u in routes[s]:
             if len(state[u]) == deg[u] and routes[u]:  # only slots with routes fire
                 insort(fireable, u)
-    return _outcome(board, state), SequenceLog(params, tuple(moves))
+    return _outcome(board, state), None if moves is None else SequenceLog(params, tuple(moves))
 
 
-def random_games(params: StarParams, trials: range, seed: int) -> Iterator[tuple[int, Outcome, SequenceLog]]:
-    """Play the random-play games of the trial indices in ``trials`` from
-    all chips on the center, one at a time, yielding (trial seed, outcome,
-    log) for each.
+def _refused(board: _Board, state: list[list[int]], step: int, s: object, chips: tuple) -> IllegalMoveError:
+    """The error that ends a game at its ``step``-th fire, ``chips`` at slot
+    ``s``, which the driver refused. ``_fire`` may have taken chips off
+    ``s``, and routed none, so ``s`` first gets back every label no other
+    slot holds."""
+    if not isinstance(s, int) or not 0 <= s < len(state):
+        return IllegalMoveError(s, chips, f"no slot {s!r} on a board of {len(state)} slots", step=step)
+    others = {c for u, labels in enumerate(state) if u != s for c in labels}
+    state[s] = [c for c in range(1, board.params.n_chips + 1) if c not in others]
+    try:
+        _check_fire(board.params, board.vertex[s], state[s], chips)
+    except IllegalMoveError as e:
+        return IllegalMoveError(e.vertex, chips, f"{e.reason}; state {_state_text(board, state)}", step=step)
+    raise AssertionError(f"_check_fire accepts {chips} at slot {s}, which the game refused")
 
-    Trial i plays ``RandomUniform(derive_seed(seed, i))``, so each game
-    depends only on (params, seed, i), and ``stabilize --strategy random
-    --seed <trial seed>`` plays it again.
+
+def random_games(
+    params: StarParams, trials: range, seed: int, checker: Callable[[], Any] | None = None
+) -> Iterator[tuple[int, Outcome, Any]]:
+    """Play the random-play games of the trial indices in ``trials``, one
+    at a time, yielding (trial seed, outcome, log) for each; with
+    ``checker``, each game keeps no log and is played with the ``fire`` of
+    a new ``checker()``, such as a ``verify.GameCheck``, yielded instead.
+
+    Trial i plays ``RandomUniform(derive_seed(seed, i))``, which
+    ``stabilize --strategy random --seed <trial seed>`` plays again.
     """
     for i in trials:
         trial_seed = derive_seed(seed, i)
-        yield (trial_seed, *stabilize_labeled(params, RandomUniform(trial_seed)))
+        play, checked = RandomUniform(trial_seed), checker and checker()
+        outcome, log = stabilize_labeled(params, play, log=not checked, check=checked and checked.fire)
+        yield trial_seed, outcome, checked or log
 
 
 FORK_MIN_FIRES = 4_000
@@ -323,19 +332,18 @@ def _read_all(fd: int) -> bytes:
 def fork_trials(params: StarParams, trials: int, summarize: Callable[[range], _Summary]) -> list[_Summary]:
     """``summarize`` each of a few consecutive ranges that cover
     ``range(trials)``, one range per process; return the summaries in
-    trial order.
+    trial order. A summary that depends only on (params, seed, trial
+    index) makes the result independent of the number of processes.
 
     Every range but the first is summarized in a child made with
-    ``os.fork``, which sends its summary back over a pipe as ``marshal``
-    data, so a summary must be built of ints, strings, tuples, lists, sets
-    and dicts only. The parent summarizes the first range itself, and any
-    range it could not fork a child for. A child leaves with ``os._exit``
-    and never flushes the stdio it inherited; one that fails exits 1, and
-    the parent summarizes its range again, so the same error is raised
-    here. Every child is reaped before this returns or raises. When
-    ``summarize`` depends only on (params, seed, trial index), as a summary
-    of :func:`random_games` does, the result does not depend on how many
-    processes there were.
+    ``os.fork``, where it exists and this process runs one thread, while
+    each process gets FORK_MIN_FIRES fires of work. A child sends its
+    summary back over a pipe as ``marshal`` data (ints, strings, tuples,
+    lists, sets and dicts), leaves with ``os._exit`` without flushing the
+    stdio it inherited, and exits 1 on failure, when the parent summarizes
+    its range again, raising the same error. The parent summarizes the
+    first range and any it could not fork for, and reaps every child
+    before it returns or raises.
     """
     n = _processes(params, trials)
     ranges = [range(trials * j // n, trials * (j + 1) // n) for j in range(n)]
@@ -384,25 +392,20 @@ def replay(params: StarParams, moves: Iterable[Move]) -> Outcome | dict[Vertex, 
     """Apply a scripted move list starting from all chips on the center,
     reading ``moves`` once, from any iterable, and keeping no copy of it.
 
-    Returns the outcome when the script ends stable. Otherwise it returns
-    the held labels: a dict that maps each vertex that holds chips, in
-    canonical vertex order, to its labels in ascending order. An illegal
-    move raises IllegalMoveError naming the 1-based step and the state it
-    was attempted on, written as ``state C:{3,4}, B(1,1):{1}``. The replay
-    holds a ``core._Replay``, the slot of each label and the chip count of
-    each slot, whose fires refuse an illegal move with
-    ``core._check_fire``'s text; the per-slot label lists are built once,
-    at the end or at the refused move.
+    Returns the outcome when the script ends stable, and otherwise the
+    labels of each vertex that holds chips, in canonical vertex order. An
+    illegal move raises IllegalMoveError with ``core._check_fire``'s
+    reason, the 1-based step and the state it was tried on, written as
+    ``state C:{3,4}, B(1,1):{1}``. The moves fire on a ``core._Replay``.
     """
     board = _board(params)
     slot = board.slot
     played = _Replay(board)
     for t, mv in enumerate(moves, start=1):
         try:
-            played.fire(slot.get(mv.vertex), mv)
+            played.fire(slot.get(mv.vertex), mv.chips, mv.vertex)
         except IllegalMoveError as e:
-            held = _held(board, played.state())
-            text = ", ".join(f"{v}:{{{','.join(map(str, labels))}}}" for v, labels in held.items())
+            text = _state_text(board, played.state())
             raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {text}", step=t) from None
     state = played.state()
     try:
@@ -415,3 +418,8 @@ def _held(board: _Board, state: _State) -> dict[Vertex, tuple[int, ...]]:
     """The vertices of a packed state that hold chips, in canonical vertex
     order, with their labels."""
     return {v: tuple(labels) for v, labels in zip(board.vertex, state) if labels}
+
+
+def _state_text(board: _Board, state: _State) -> str:
+    """A packed state as an IllegalMoveError names it: ``C:{3,4}, B(1,1):{1}``."""
+    return ", ".join(f"{v}:{{{','.join(map(str, labels))}}}" for v, labels in _held(board, state).items())

@@ -17,18 +17,14 @@ A separate check watches what the center's endgame fires send outward: for a
 fixed branch, consecutive sends never increase. (They can repeat: a level-1
 vertex may bounce the same chip back to the center, which then returns it.)
 
-Each check reads a log once, front to back. By confluence every complete
-stabilization fires each vertex as often as the closed form says, so the
-count of a vertex's fires so far tells whether a fire is an endgame fire as
-it comes; only the endgame fires' indices are kept, and the order rules are
-checked on them once the log ends.
-
-Each log check returns a :class:`VerifierReport`, which holds the
-violations it found, in order, and passes exactly when it holds none.
-
-Stable outcomes themselves are checked for the two sorting guarantees:
-rows sorted along each branch, and the innermost/outermost rings sorted
-across branches.
+By confluence every complete stabilization fires each vertex as often as
+the closed form says, so a fire's count tells whether it is an endgame fire
+as it comes. One :class:`GameCheck` makes every check fire by fire: a game
+feeds it as it plays and keeps no log, and each log check, which returns a
+:class:`VerifierReport` of the violations in order, feeds it a stored log.
+Stable outcomes are checked for the two sorting guarantees: rows sorted
+along each branch, and the innermost/outermost rings sorted across
+branches.
 """
 from __future__ import annotations
 
@@ -42,8 +38,6 @@ from .core import (
     Outcome,
     StarParams,
     Vertex,
-    CENTER,
-    _Board,
     _Replay,
     _board,
 )
@@ -80,65 +74,157 @@ def endgame_refs(params: StarParams) -> list[FireRef]:
     return [FireRef(board.vertex[s], f) for s in board.firing for f in range(params.m - board.level[s])]
 
 
-def _endgame_walk(log: SequenceLog, board: _Board) -> tuple[list[list[int]], list[Violation]]:
-    """Read the log once, front to back, replaying it from ``_Board.start``
-    on a ``core._Replay``: the slot of each label and the chip count of each
-    slot, which is all the checks read. Its fires refuse an illegal move
-    with ``core._check_fire``'s text.
+class GameCheck:
+    """The checks of :func:`check_game`, made fire by fire: pass each fire
+    to :meth:`fire`, in order, as a game makes it
+    (``stabilize_labeled(params, strategy, log=False, check=check.fire)``)
+    or a log records it, then read the verdicts off.
 
-    The closed-form counts say in advance which fires are endgame fires: a
-    slot's f-th fire from the end is the one that leaves f of its fires to
-    come. Returns, for each slot, the log indices of its endgame fires,
-    last fire first (entry f is the index of the slot's f-th fire from the
-    end; slots at level m have none), and the ``exact-degree-chips`` and
-    ``illegal-replay`` violations met on the way. The replay and the chip
-    check stop at the first refused fire; the counting and the times go on
-    to the end of the log.
+    It holds a ``core._Replay`` of the fires, how often each slot has
+    fired, the index of each endgame fire (a slot's f-th from the end
+    leaves f of its fires to come) and the center's last m fires. The
+    replay and the chip count check stop at the first illegal fire; the
+    counting goes on to the end."""
 
-    Raises LogInconsistencyError if the log's per-vertex fire counts do not
-    match the closed-form counts of a complete stabilization."""
-    slot, deg = board.slot, board.deg
-    wanted = [board.fires.get(v, 0) for v in board.vertex]
-    times = [[-1] * (board.params.m - level) for level in board.level]
-    fired = [0] * len(board.vertex)
-    stray: dict[Vertex, int] = {}  # fires of vertices that have no slot
-    first: list[Vertex] = []  # every fired vertex, in order of first fire
-    violations: list[Violation] = []
-    played = _Replay(board)
-    count, fire = played.count, played.fire
-    for t, mv in enumerate(log.moves):
-        v = mv.vertex
-        s = slot.get(v)
+    __slots__ = (
+        "board", "replay", "wanted", "times", "fired", "fires", "first", "stray", "center", "replayed", "sizes"
+    )
+
+    def __init__(self, params: StarParams):
+        board = self.board = _board(params)
+        self.replay: _Replay | None = _Replay(board)
+        self.wanted = [board.fires.get(v, 0) for v in board.vertex]
+        # for each slot, the index of its f-th fire from the end at entry f, or -1; none at level m
+        self.times = [[-1] * (params.m - level) for level in board.level]
+        self.fired = [0] * len(board.vertex)
+        self.fires = 0
+        self.first: list[Vertex] = []  # every fired vertex, in order of first fire
+        self.stray: dict[Vertex, int] = {}  # fires of vertices that have no slot
+        # (index, chips) of the center's last m fires; chips is None for a fire of other than k chips
+        self.center: deque[tuple[int, tuple[int, ...] | None]] = deque(maxlen=params.m)
+        self.replayed: list[Violation] = []  # exact-degree-chips and illegal-replay, in order
+        self.sizes: list[Violation] = []  # center-fire-size, in order
+
+    def fire(self, s: int | None, chips: tuple[int, ...], v: Vertex | None = None) -> None:
+        """Check the next fire, ``chips`` at slot ``s`` of vertex ``v``: a log
+        passes ``board.slot.get(v)`` and ``v``, a game the slot alone."""
+        t = self.fires
+        self.fires = t + 1
+        replay = self.replay
         if s is None:
-            if v not in stray:
-                first.append(v)
-            stray[v] = stray.get(v, 0) + 1
+            if v not in self.stray:
+                self.first.append(v)
+            self.stray[v] = self.stray.get(v, 0) + 1
         else:
-            if not fired[s]:
-                first.append(v)
-            fired[s] += 1
-            f = wanted[s] - fired[s]  # how many fires of this slot are still to come
-            if 0 <= f < len(times[s]):
-                times[s][f] = t
-                if fire is not None and count[s] != deg[s]:
-                    violations.append(
-                        Violation(
-                            "exact-degree-chips",
-                            (FireRef(v, f),),
-                            f"endgame fire {v}^{f} at index {t} ran with "
-                            f"{count[s]} chips present, not {deg[s]}",
-                        )
-                    )
-        if fire is not None:
+            n = self.fired[s] = self.fired[s] + 1
+            if n == 1:
+                self.first.append(self.board.vertex[s] if v is None else v)
+            f = self.wanted[s] - n  # how many fires of this slot are still to come
+            times = self.times[s]
+            if 0 <= f < len(times):
+                times[f] = t
+                if replay is not None and replay.count[s] != replay.deg[s]:
+                    v = self.board.vertex[s] if v is None else v
+                    have, d = replay.count[s], replay.deg[s]
+                    detail = f"endgame fire {v}^{f} at index {t} ran with {have} chips present, not {d}"
+                    self.replayed.append(Violation("exact-degree-chips", (FireRef(v, f),), detail))
+            if s == 0:
+                k = self.board.params.k
+                size = len(chips) if hasattr(chips, "__len__") else None  # the replay names chips of no size
+                if size != k:
+                    detail = f"center fire at index {t} sent {size} chips, not {k}"
+                    self.sizes.append(Violation("center-fire-size", (t,), detail))
+                self.center.append((t, chips if size == k else None))
+        if replay is not None:
             try:
-                fire(s, mv)
+                replay.fire(s, chips, v)
             except IllegalMoveError as e:
-                violations.append(Violation("illegal-replay", (t,), str(e)))
-                fire = None
-    if stray or fired != wanted:
-        counts = {v: stray[v] if v in stray else fired[slot[v]] for v in first}
-        raise LogInconsistencyError(f"per-vertex fire counts {counts} disagree with the closed form {board.fires}")
-    return times, violations
+                self.replayed.append(Violation("illegal-replay", (t,), str(e)))
+                self.replay = None
+
+    @property
+    def per_vertex_fire_count(self) -> dict[Vertex, int]:
+        """How often each fired vertex fired, in order of first fire."""
+        slot, fired, stray = self.board.slot, self.fired, self.stray
+        return {v: stray[v] if v in stray else fired[slot[v]] for v in self.first}
+
+    def _complete(self) -> None:
+        """Raise LogInconsistencyError unless every vertex fired as often as
+        the closed form says."""
+        if self.stray or self.fired != self.wanted:
+            counts, closed = self.per_vertex_fire_count, self.board.fires
+            raise LogInconsistencyError(f"per-vertex fire counts {counts} disagree with the closed form {closed}")
+
+    def poset(self) -> list[Violation]:
+        """:func:`verify_poset`'s violations: the order rules first, then what
+        the replay found."""
+        try:
+            self._complete()
+        except LogInconsistencyError as e:
+            return [Violation("fire-count-mismatch", (), str(e))]
+        board, times = self.board, self.times
+        violations: list[Violation] = []
+
+        def late(rule: str, u: int, g: int, s: int, f: int) -> None:
+            # slot u's g-th fire from the end did not precede slot s's f-th, as rule requires
+            earlier, later = FireRef(board.vertex[u], g), FireRef(board.vertex[s], f)
+            detail = (
+                f"{earlier.vertex}^{g} at index {times[u][g]} must precede {later.vertex}^{f} at index {times[s][f]}"
+            )
+            violations.append(Violation(rule, (earlier, later), detail))
+
+        for s in board.firing:
+            mine = times[s]
+            if s == 0:  # the center
+                receivers = [(u, times[u]) for u in board.routes[0]]
+                for f, t in enumerate(mine):
+                    for u, theirs in receivers:
+                        if f < len(theirs) and theirs[f] >= t:
+                            late("branch-precedes-center", u, f, s, f)
+            else:
+                inner, outer = board.routes[s]
+                refires, outs = times[inner], times[outer]  # inner has one endgame fire more than s
+                for f, t in enumerate(mine):
+                    if refires[f + 1] >= t:
+                        late("inner-refire-precedes", inner, f + 1, s, f)
+                    if f < len(outs) and outs[f] >= t:
+                        late("outer-precedes", outer, f, s, f)
+        return violations + self.replayed
+
+    def mixing(self, strict: bool = False) -> list[Violation]:
+        """:func:`verify_mixing`'s violations."""
+        k = self.board.params.k
+        violations = list(self.sizes)
+        endgame = [(t, chips) for t, chips in self.center if chips is not None]
+        for (prev_t, previous), (t, sent) in zip(endgame, endgame[1:]):
+            for i in range(k):
+                if sent[i] > previous[i]:
+                    detail = f"center fire at index {t} sent chip {sent[i]} to branch {i + 1}, larger than "
+                    detail += f"{previous[i]} sent at index {prev_t}"
+                    violations.append(Violation("center-send-increased", (prev_t, t, i + 1), detail))
+                elif strict and sent[i] == previous[i]:
+                    detail = f"center fires at indices {prev_t} and {t} both sent chip {sent[i]} to branch {i + 1}"
+                    violations.append(Violation("center-send-repeated", (prev_t, t, i + 1), detail))
+        return violations
+
+    def verdicts(self, outcome: Outcome) -> dict[str, bool]:
+        """:func:`check_game`'s verdicts on a game that ended in ``outcome``."""
+        return {
+            "poset": not self.poset(),
+            "mixing": not self.mixing(),
+            "branches_sorted": verify_branch_sorted(outcome),
+            "rim_sorted": verify_rim_sorted(outcome),
+            "length_matches": self.fires == expected_total_fires(self.board.params),
+        }
+
+
+def _checked(log: SequenceLog) -> GameCheck:
+    """A :class:`GameCheck` fed the log's moves once, front to back."""
+    check = GameCheck(log.params)
+    slot, fire = check.board.slot, check.fire
+    for mv in log.moves:
+        fire(slot.get(mv.vertex), mv.chips, mv.vertex)
+    return check
 
 
 def endgame_positions(log: SequenceLog) -> dict[FireRef, int]:
@@ -147,9 +233,10 @@ def endgame_positions(log: SequenceLog) -> dict[FireRef, int]:
     Raises LogInconsistencyError if the log's per-vertex fire counts do not
     match the closed-form counts of a complete stabilization.
     """
-    board = _board(log.params)
-    times, _ = _endgame_walk(log, board)
-    return {FireRef(board.vertex[s], f): t for s in board.firing for f, t in enumerate(times[s])}
+    check = _checked(log)
+    check._complete()
+    board = check.board
+    return {FireRef(board.vertex[s], f): t for s in board.firing for f, t in enumerate(check.times[s])}
 
 
 def verify_poset(log: SequenceLog) -> VerifierReport:
@@ -159,37 +246,7 @@ def verify_poset(log: SequenceLog) -> VerifierReport:
     replayed yields an ``illegal-replay`` violation. The order rules come
     first, then what the replay found, in log order.
     """
-    board = _board(log.params)
-    try:
-        times, replayed = _endgame_walk(log, board)
-    except LogInconsistencyError as e:
-        return VerifierReport((Violation("fire-count-mismatch", (), str(e)),))
-    violations: list[Violation] = []
-
-    def late(rule: str, u: int, g: int, s: int, f: int) -> None:
-        """Report that slot u's g-th fire from the end did not precede slot
-        s's f-th, as ``rule`` requires."""
-        earlier, later = FireRef(board.vertex[u], g), FireRef(board.vertex[s], f)
-        detail = f"{earlier.vertex}^{g} at index {times[u][g]} must precede {later.vertex}^{f} at index {times[s][f]}"
-        violations.append(Violation(rule, (earlier, later), detail))
-
-    for s in board.firing:
-        mine = times[s]
-        if s == 0:  # the center
-            receivers = [(u, times[u]) for u in board.routes[0]]
-            for f, t in enumerate(mine):
-                for u, theirs in receivers:
-                    if f < len(theirs) and theirs[f] >= t:
-                        late("branch-precedes-center", u, f, s, f)
-        else:
-            inner, outer = board.routes[s]
-            refires, outs = times[inner], times[outer]  # inner has one endgame fire more than s
-            for f, t in enumerate(mine):
-                if refires[f + 1] >= t:
-                    late("inner-refire-precedes", inner, f + 1, s, f)
-                if f < len(outs) and outs[f] >= t:
-                    late("outer-precedes", outer, f, s, f)
-    return VerifierReport(tuple(violations + replayed))
+    return VerifierReport(tuple(_checked(log).poset()))
 
 
 def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
@@ -202,37 +259,7 @@ def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
     A center fire of other than k chips is reported and left out of the
     comparison.
     """
-    k = log.params.k
-    violations: list[Violation] = []
-    last = deque(maxlen=log.params.m)  # (index, chips) of the center's last m fires
-    for t, mv in enumerate(log.moves):
-        if mv.vertex == CENTER:
-            if len(mv.chips) != k:
-                detail = f"center fire at index {t} sent {len(mv.chips)} chips, not {k}"
-                violations.append(Violation("center-fire-size", (t,), detail))
-            last.append((t, mv.chips))
-    endgame = [(t, chips) for t, chips in last if len(chips) == k]
-    for (prev_t, previous), (t, sent) in zip(endgame, endgame[1:]):
-        for i in range(k):
-            if sent[i] > previous[i]:
-                violations.append(
-                    Violation(
-                        "center-send-increased",
-                        (prev_t, t, i + 1),
-                        f"center fire at index {t} sent chip {sent[i]} to branch {i + 1}, "
-                        f"larger than {previous[i]} sent at index {prev_t}",
-                    )
-                )
-            elif strict and sent[i] == previous[i]:
-                violations.append(
-                    Violation(
-                        "center-send-repeated",
-                        (prev_t, t, i + 1),
-                        f"center fires at indices {prev_t} and {t} both sent chip "
-                        f"{sent[i]} to branch {i + 1}",
-                    )
-                )
-    return VerifierReport(tuple(violations))
+    return VerifierReport(tuple(_checked(log).mixing(strict)))
 
 
 def verify_branch_sorted(outcome: Outcome) -> bool:
@@ -249,10 +276,4 @@ def check_game(outcome: Outcome, log: SequenceLog) -> dict[str, bool]:
     """Every check a complete game from all chips on the center must pass,
     by name: the endgame order, the center's sends, both sorting guarantees
     and the closed-form length."""
-    return {
-        "poset": verify_poset(log).passed,
-        "mixing": verify_mixing(log).passed,
-        "branches_sorted": verify_branch_sorted(outcome),
-        "rim_sorted": verify_rim_sorted(outcome),
-        "length_matches": len(log) == expected_total_fires(log.params),
-    }
+    return _checked(log).verdicts(outcome)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,17 +11,39 @@ import tracemalloc
 import pytest
 
 import starchip.cli
-import starchip.verify
-from starchip import StarParams, derive_seed, engine
+from starchip import Move, StarParams, derive_seed, engine
 from starchip.cli import main
 from starchip.engine import fork_trials, random_games
-from starchip.verify import VerifierReport, Violation
+from starchip.verify import GameCheck
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _game_check(verdicts):
+    """A stand-in for ``starchip.cli.GameCheck``, the per-game check of
+    ``stabilize --verify`` and of each ``verify`` trial: it also records the
+    moves of its game, and its verdicts are ``verdicts(moves, real
+    verdicts)``."""
+
+    class Check(GameCheck):
+        __slots__ = ("moves",)
+
+        def __init__(self, params):
+            super().__init__(params)
+            self.moves = []
+
+        def fire(self, s, chips, v=None):
+            self.moves.append(Move(self.board.vertex[s], chips))
+            super().fire(s, chips, v)
+
+        def verdicts(self, outcome):
+            return verdicts(tuple(self.moves), super().verdicts(outcome))
+
+    return Check
 
 
 class TestStabilize:
@@ -61,6 +84,21 @@ class TestStabilize:
             tracemalloc.stop()
         assert code == 0  # every --verify check passed
         assert peak < 32 * 2**20
+
+    def test_a_verified_game_keeps_no_log(self, capsys):
+        # checked as it is played, a verified game builds no move log: its
+        # traced peak was 3.9 MB while it kept 26,810 moves and their log
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                capsys, ["stabilize", "--k", "20", "--m", "20", "--strategy", "random", "--seed", "1", "--verify"]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0  # every --verify check passed
+        assert "fires: 26810" in out
+        assert peak < 1.5 * 2**20
 
     def test_volmin_draws_past_two_to_the_64(self, capsys):
         # the first pick draws below C(75, 25) > 2^64, which one 64-bit
@@ -329,15 +367,13 @@ class TestVerifyCommand:
     def test_failure_names_the_trial_and_a_reproducing_command(self, capsys, monkeypatch):
         argv = ["verify", "--k", "2", "--m", "2", "--samples", "20", "--seed", "4"]
         _, healthy, _ = run_cli(capsys, argv)
-        real = starchip.verify.verify_mixing
 
-        def broken(log):  # fails the games whose last fire sends chips 1 and 2
-            forged = VerifierReport((Violation("center-send-increased", (), "forged"),))
-            return forged if log.moves[-1].chips == (1, 2) else real(log)
+        def broken(moves, real):  # fails the games whose last fire sends chips 1 and 2
+            return {**real, "mixing": real["mixing"] and moves[-1].chips != (1, 2)}
 
-        monkeypatch.setattr(starchip.verify, "verify_mixing", broken)
+        monkeypatch.setattr(starchip.cli, "GameCheck", _game_check(broken))
         games = random_games(StarParams(2, 2), range(20), 4)
-        failing = [i for i, (_, _, log) in enumerate(games) if not broken(log).passed]
+        failing = [i for i, (_, _, log) in enumerate(games) if log.moves[-1].chips == (1, 2)]
         assert 0 < failing[0] and len(failing) < 20
         code, out, err = run_cli(capsys, argv)
         assert code == 1
@@ -367,7 +403,46 @@ class TestVerifyCommand:
         assert "reachable set" not in out
 
 
+_COMMANDS = ["stabilize", "enumerate", "volmin", "syt", "montecarlo", "verify"]
+
+
 class TestArgumentHandling:
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_a_call_builds_the_parser_of_its_command_alone(self, capsys, monkeypatch, command):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting_add_parser(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert built == [command]
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built == _COMMANDS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["-h"], ["bogus"], ["stabiliz"], ["--k", "2"], ["stabilize", "--k", "2", "--m", "2", "extra"]]
+        + [argv for c in _COMMANDS for argv in ([c, "--help"], [c], [c, "--k", "x", "--m", "2"], [c, "--bogus"])],
+        ids=" ".join,
+    )
+    def test_help_usage_and_errors_are_those_of_the_parser_of_every_command(self, capsys, argv):
+        def run(parse):
+            with pytest.raises(SystemExit) as exit:
+                parse(argv)
+            return exit.value.code, *capsys.readouterr()
+
+        assert run(main) == run(starchip.cli.build_parser().parse_args)
+
+    def test_no_argv_reads_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["starchip", "stabilize", "--k", "2", "--m", "2"])
+        assert run_cli(capsys, None) == (0, "outcome: [1,3],[2,4]\nfires: 5\n", "")
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main([])
@@ -541,12 +616,11 @@ class TestProcessCount:
         logs = [log.moves for _, _, log in random_games(params, range(samples), seed)]
         bad = {logs[i] for i in chosen}
         failing = [i for i, moves in enumerate(logs) if moves in bad]
-        real = starchip.cli.check_game
 
-        def check_game(outcome, log):
-            return {**real(outcome, log), "mixing": log.moves not in bad}
+        def verdicts(moves, real):
+            return {**real, "mixing": moves not in bad}
 
-        monkeypatch.setattr(starchip.cli, "check_game", check_game)
+        monkeypatch.setattr(starchip.cli, "GameCheck", _game_check(verdicts))
         code, out, err = run_cli(capsys, ["verify", "--k", "3", "--m", "3", "--samples", "90", "--seed", "4"])
         assert code == 1
         assert f"center resend order check failures: {len(failing)}" in out.splitlines()
@@ -560,14 +634,13 @@ class TestProcessCount:
     @pytest.mark.parametrize("trial", [0, 45, 89])
     def test_an_error_in_any_range_is_raised_here_and_leaves_no_child(self, capsys, monkeypatch, split, trial):
         logs = [log.moves for _, _, log in random_games(StarParams(3, 3), range(90), 4)]
-        real = starchip.cli.check_game
 
-        def check_game(outcome, log):
-            if log.moves == logs[trial]:
+        def verdicts(moves, real):
+            if moves == logs[trial]:
                 raise RuntimeError(f"check of trial {trial} broke")
-            return real(outcome, log)
+            return real
 
-        monkeypatch.setattr(starchip.cli, "check_game", check_game)
+        monkeypatch.setattr(starchip.cli, "GameCheck", _game_check(verdicts))
         with pytest.raises(RuntimeError, match=f"check of trial {trial} broke"):
             main(["verify", "--k", "3", "--m", "3", "--samples", "90", "--seed", "4"])
         _no_child_left()

@@ -161,7 +161,7 @@ class TestApplyMove:
 
         def refuse(move: Move) -> IllegalMoveError:
             with pytest.raises(IllegalMoveError) as err:
-                replayed.fire(board.slot.get(move.vertex), move)
+                replayed.fire(board.slot.get(move.vertex), move.chips, move.vertex)
             return err.value
 
         err = refuse(Move(Vertex(1, 1), (1, 2)))
@@ -396,11 +396,11 @@ def test_replay_fire_matches_the_oracle(k, m, rnd):
         naive = (naive_vertex(mv.vertex), mv.chips)
         reason = naive_refusal(cfg, naive, k)
         if reason is None:
-            replayed.fire(board.slot.get(mv.vertex), mv)
+            replayed.fire(board.slot.get(mv.vertex), mv.chips, mv.vertex)
             cfg = _naive_apply(cfg, naive, k)
         else:
             with pytest.raises(IllegalMoveError) as refused:
-                replayed.fire(board.slot.get(mv.vertex), mv)
+                replayed.fire(board.slot.get(mv.vertex), mv.chips, mv.vertex)
             assert str(refused.value) == str(IllegalMoveError(mv.vertex, mv.chips, reason))
         assert {naive_vertex(v) for v in board.vertex} >= set(cfg)
         state = replayed.state()

@@ -318,6 +318,35 @@ def test_a_fire_of_k_plus_one_center_chips_is_refused(k, m):
     assert err.value.step == strategy.picks == 1
 
 
+class _SlotStrategy:
+    """Plays as Deterministic does, but names the slot ``slot(state)`` with
+    the first fireable slot's chips at its ``at``-th pick."""
+
+    def __init__(self, slot, at):
+        self.slot, self.at = slot, at
+        self.picks = 0
+
+    def pick(self, board, state, fireable):
+        self.picks += 1
+        s, chips = Deterministic().pick(board, state, fireable)
+        return (self.slot(state), chips) if self.picks == self.at else (s, chips)
+
+
+@pytest.mark.parametrize(
+    "slot, name",
+    [(lambda state: len(state) + 3, "13"), (lambda state: -len(state), "-10"), (lambda state: 1.0, "1.0")],
+    ids=["past the board", "negative", "float"],
+)
+@pytest.mark.parametrize("at", [1, 4])
+def test_a_slot_off_the_board_is_refused_naming_the_step(slot, name, at):
+    # a slot past the board raised a bare IndexError, and a negative one
+    # played the center until a removal raised a bare ValueError
+    strategy = _SlotStrategy(slot, at)
+    with pytest.raises(IllegalMoveError, match=rf"at step {at}: no slot {name} on a board of 10 slots$") as err:
+        stabilize_labeled(StarParams(3, 3), strategy, log=at == 1)
+    assert err.value.step == strategy.picks == at
+
+
 class _Script:
     """Fires the moves of a script in order, whatever the state holds. The
     script is a text of moves or a list of moves with chips of any type."""
@@ -417,6 +446,27 @@ def test_a_game_is_refused_at_its_first_illegal_fire_or_passes_every_check(k, m)
         assert strategy.fault is None
         assert replay(params, log.moves) == outcome
         assert all(check_game(outcome, log).values())
+    assert 0 < refused < 200
+
+
+@pytest.mark.parametrize("k, m", SMALL_SHAPES)
+def test_a_game_without_a_log_names_its_illegal_fire_as_replay_does(k, m):
+    # with no log to replay, the refused fire is named from the game's own
+    # state; the text must be replay's for the fires made and the refused one
+    params = StarParams(k, m)
+    vertex = _board(params).vertex
+    refused = 0
+    for seed in range(200):
+        strategy = _SloppyStrategy(params, 1000 * (10 * k + m) + seed)
+        made = []
+        try:
+            stabilize_labeled(params, strategy, log=False, check=lambda s, chips: made.append(Move(vertex[s], chips)))
+        except IllegalMoveError as e:
+            assert e.step == strategy.fault == len(made) + 1
+            with pytest.raises(IllegalMoveError) as replayed:
+                replay(params, made + [Move(e.vertex, e.chips)])
+            assert str(e) == str(replayed.value)
+            refused += 1
     assert 0 < refused < 200
 
 

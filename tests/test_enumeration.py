@@ -250,7 +250,7 @@ def test_packed_kernel_matches_object_model(data):
         v, chips = data.draw(st.sampled_from(moves), label="move")
         mv = Move(CENTER if v == "C" else Vertex(*v), chips)
         cfg = _naive_apply(cfg, (v, chips), k)
-        replayed.fire(board.slot[mv.vertex], mv)
+        replayed.fire(board.slot[mv.vertex], mv.chips, mv.vertex)
         _fire(board, state, board.slot[mv.vertex], mv.chips)
 
 

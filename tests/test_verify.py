@@ -23,8 +23,8 @@ from starchip import (
     verify_poset,
     verify_rim_sorted,
 )
-from starchip.core import _board
-from starchip.verify import FireRef, VerifierReport, Violation, check_game
+from starchip.core import _board, totally_sorted_outcome
+from starchip.verify import FireRef, GameCheck, VerifierReport, Violation, check_game
 
 from oracles import ReferenceSplitMix64
 
@@ -357,3 +357,52 @@ class TestForgedLogVerdicts:
         assert len(reports) == 3 * 8 * 3 * len(self.SHAPES) == 1008
         assert sum(map(bool, reports)) == 602
         assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == self.DIGEST
+
+
+class TestOnePass:
+    """A game checked as it is played keeps no log. Its verdicts must be
+    those check_game gives on the stored log of the same fires."""
+
+    @staticmethod
+    def one_pass(log: SequenceLog, outcome) -> dict:
+        check = GameCheck(log.params)
+        slot = check.board.slot
+        for mv in log:
+            check.fire(slot[mv.vertex], mv.chips)  # as a game hands it a fire: the slot and the chips
+        return check.verdicts(outcome)
+
+    @pytest.mark.parametrize("forged", ["order swap", "3x3"])
+    def test_forged_logs(self, forged):
+        if forged == "order swap":
+            log = forged_order_swap()
+        else:
+            log = SequenceLog.from_text(StarParams(3, 3), FORGED_3X3.replace(" ", "\n"))
+        outcome = totally_sorted_outcome(log.params)
+        verdicts = self.one_pass(log, outcome)
+        assert verdicts == check_game(outcome, log)
+        assert not verdicts["poset"] and verdicts["length_matches"]
+
+    def test_forged_engine_logs(self):
+        rng = ReferenceSplitMix64(7)
+        for k, m in TestForgedLogVerdicts.SHAPES:
+            params = StarParams(k, m)
+            for name in ("det", "random", "volmin"):
+                outcome, game = stabilize_labeled(params, make_strategy(name, seed=k * 10 + m))
+                for kind in _MUTATIONS:
+                    log = SequenceLog(params, _mutate(game.moves, kind, rng, params.n_chips))
+                    assert self.one_pass(log, outcome) == check_game(outcome, log)
+
+    @pytest.mark.parametrize("name", ["det", "random", "volmin"])
+    def test_games_up_to_ten_by_ten(self, name):
+        for k in range(1, 11):
+            for m in range(1, 11):
+                params = StarParams(k, m)
+                outcome, log = stabilize_labeled(params, make_strategy(name, seed=10 * k + m))
+                check = GameCheck(params)
+                played = stabilize_labeled(params, make_strategy(name, seed=10 * k + m), log=False, check=check.fire)
+                assert played == (outcome, None)
+                verdicts = check.verdicts(outcome)
+                assert verdicts == check_game(outcome, log) == self.one_pass(log, outcome)
+                assert all(verdicts.values())
+                assert check.fires == len(log)
+                assert check.per_vertex_fire_count == log.per_vertex_fire_count
