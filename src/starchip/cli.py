@@ -10,39 +10,47 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a requested verification fails, 2 on
 argument or budget errors and on an --out file that cannot be written.
+
+Only what building the parser and every command need is imported here:
+``core`` and ``engine``. Each command imports the rest of what it runs
+when it runs.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from typing import Iterable
 
 from .core import ChipGameError, StarParams, outcome_to_text
-from .engine import _STRATEGY_NAMES, fork_trials, make_strategy, random_games, replay, stabilize_labeled
-from .enumeration import DEFAULT_CELL_BUDGET, enumerate_all, enumerate_volmin, reachable_set
-from .reports import emit_table, run_montecarlo, write_atomic
-from .tableaux import count_rect_syt, from_outcome, generate_syts, to_outcome, witness_sequence
-from .verify import GameCheck
+from .engine import _STRATEGY_NAMES, FireCount, fork_trials, make_strategy, random_games, replay, stabilize_labeled
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
+        from .reports import write_atomic
+
         write_atomic(out, text)
 
 
 def cmd_stabilize(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
     strategy = make_strategy(args.strategy, args.seed)
-    check = GameCheck(params) if args.verify else None
-    # a verified game is checked as it is played; only the JSON document prints its moves
-    outcome, log = stabilize_labeled(params, strategy, log=args.json or not check, check=check and check.fire)
-    checks = check.verdicts(outcome) if check else {}
-    fires = check.fires if log is None else len(log)
+    if args.verify:
+        from .verify import GameCheck
+
+        check = GameCheck(params)
+    else:
+        check = FireCount()
+    # a game is checked or counted as it is played; only the JSON document prints its moves
+    outcome, log = stabilize_labeled(params, strategy, log=args.json, check=check.fire)
+    checks = check.verdicts(outcome) if args.verify else {}
+    fires = check.fires
     if args.json:
+        import json
+
         doc = {
             "k": params.k,
             "m": params.m,
@@ -65,6 +73,9 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import enumerate_all
+    from .reports import emit_table
+
     params = StarParams(args.k, args.m)
     result = enumerate_all(params, max_states=args.max_states)
     _emit(emit_table(result, "json" if args.json else "text"), args.out)
@@ -72,12 +83,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_volmin(args: argparse.Namespace) -> int:
+    from .enumeration import enumerate_volmin
+    from .tableaux import count_rect_syt, from_outcome
+
     params = StarParams(args.k, args.m)
     outcomes = enumerate_volmin(params, max_states=args.max_states)
     syt_count = count_rect_syt(params.k, params.m)
     # as many standard fillings as there are standard tableaux are the whole image
     matches = len(outcomes) == syt_count and all(from_outcome(o).is_standard for o in outcomes)
     if args.json:
+        import json
+
         doc = {
             "k": params.k,
             "m": params.m,
@@ -98,6 +114,8 @@ def cmd_volmin(args: argparse.Namespace) -> int:
 
 
 def cmd_syt(args: argparse.Namespace) -> int:
+    from .tableaux import count_rect_syt, generate_syts, to_outcome, witness_sequence
+
     count = count_rect_syt(args.k, args.m)
     # Generate before printing anything, so a budget error leaves stdout empty.
     tableaux = generate_syts(args.k, args.m) if args.list or args.witness else []
@@ -122,6 +140,9 @@ def cmd_syt(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
+    from .enumeration import DEFAULT_CELL_BUDGET, enumerate_all
+    from .reports import emit_table, run_montecarlo
+
     params = StarParams(args.k, args.m)
     report = run_montecarlo(params, args.trials, args.seed)
     text = emit_table(report, "json" if args.json else "text")
@@ -139,6 +160,8 @@ def _verify_range(params: StarParams, part: range, seed: int) -> tuple:
     """Play and check the trials in ``part``: the failures per check, the
     distinct per-vertex fire counts, the distinct outcomes, and the first
     failing trial as (trial, trial seed, failed checks), or None."""
+    from .verify import GameCheck
+
     failures: Counter[str] = Counter()
     fire_counts = set()
     outcomes = set()
@@ -154,6 +177,8 @@ def _verify_range(params: StarParams, part: range, seed: int) -> tuple:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .enumeration import DEFAULT_CELL_BUDGET, reachable_set
+
     params = StarParams(args.k, args.m)
     if args.samples < 1:
         raise ValueError("samples must be >= 1")

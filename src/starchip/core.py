@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -97,20 +96,60 @@ def parse_vertex(text: str) -> Vertex:
     return branch_vertex(int(m.group(1)), int(m.group(2)))
 
 
-@dataclass(frozen=True)
-class StarParams:
+class _Frozen:
+    """Base of the package's validated records. A subclass names its fields
+    in ``__slots__``, sets each once, in ``__init__``, with
+    ``object.__setattr__``, and returns their values, in that order, from
+    ``_values``; assigning or deleting a field later raises AttributeError.
+    Records of one class are equal, and hash alike, when their fields are
+    equal, and repr as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class StarParams(_Frozen):
     """Game parameters: k branches, m target levels per branch.
 
     The labeled game always starts with n_chips = k*m labels on the center;
     the unlabeled game accepts any starting pile.
     """
 
+    __slots__ = ("k", "m")
     k: int
     m: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.m < 1:
-            raise ValueError(f"need k >= 1 and m >= 1, got k={self.k}, m={self.m}")
+    def __init__(self, k: int, m: int) -> None:
+        if k < 1 or m < 1:
+            raise ValueError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+
+    def _values(self) -> tuple[int, int]:
+        return self.k, self.m
 
     @property
     def n_chips(self) -> int:

@@ -20,7 +20,6 @@ import os
 import sys
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from operator import index
 from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar
@@ -34,6 +33,7 @@ from .core import (
     StarParams,
     Vertex,
     _Board,
+    _Frozen,
     _State,
     _board,
     _calmest,
@@ -90,14 +90,21 @@ def stabilize_unlabeled(params: StarParams, n: int) -> tuple[dict[Vertex, int], 
     return {v: c for v, c in sorted(counts.items()) if c}, dict(fires)
 
 
-@dataclass(frozen=True, eq=True)
-class SequenceLog:
+class SequenceLog(_Frozen):
     """An ordered record of fires, normally a complete stabilization
     sequence: the moves and nothing else. Its readers, the verifiers
     included, read the moves once, front to back."""
 
+    __slots__ = ("params", "moves")
     params: StarParams
     moves: tuple[Move, ...]
+
+    def __init__(self, params: StarParams, moves: tuple[Move, ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "moves", moves)
+
+    def _values(self) -> tuple[StarParams, tuple[Move, ...]]:
+        return self.params, self.moves
 
     @property
     def per_vertex_fire_count(self) -> dict[Vertex, int]:
@@ -283,13 +290,27 @@ def _refused(board: _Board, state: list[list[int]], step: int, s: object, chips:
     raise AssertionError(f"_check_fire accepts {chips} at slot {s}, which the game refused")
 
 
+class FireCount:
+    """Counts a game's fires as it plays them, as ``verify.GameCheck`` does
+    for a checked game: a ``checker`` for a game that keeps no log."""
+
+    __slots__ = ("fires",)
+
+    def __init__(self) -> None:
+        self.fires = 0
+
+    def fire(self, s: int, chips: tuple[int, ...]) -> None:
+        self.fires += 1
+
+
 def random_games(
     params: StarParams, trials: range, seed: int, checker: Callable[[], Any] | None = None
 ) -> Iterator[tuple[int, Outcome, Any]]:
     """Play the random-play games of the trial indices in ``trials``, one
     at a time, yielding (trial seed, outcome, log) for each; with
     ``checker``, each game keeps no log and is played with the ``fire`` of
-    a new ``checker()``, such as a ``verify.GameCheck``, yielded instead.
+    a new ``checker()``, such as a ``verify.GameCheck`` or a
+    :class:`FireCount`, yielded instead.
 
     Trial i plays ``RandomUniform(derive_seed(seed, i))``, which
     ``stabilize --strategy random --seed <trial seed>`` plays again.

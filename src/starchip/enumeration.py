@@ -15,11 +15,9 @@ only the label masks its step cache misses on, and the final states.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     BudgetExceededError,
@@ -42,8 +40,7 @@ VOLMIN_CELL_BUDGET = 9
 """Restricted-tree searches stay tractable a step further than full ones."""
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """Per-outcome stabilization-sequence counts for one (k, m)."""
 
     params: StarParams
@@ -59,6 +56,8 @@ class EnumerationResult:
         return sorted(self.per_outcome.items(), key=lambda kv: (kv[1], kv[0]))
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "k": self.params.k,
             "m": self.params.m,

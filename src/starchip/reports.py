@@ -22,21 +22,18 @@ below the non-standard [1,4,5],[2,3,7],[6,8,9] at 0.001852.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import stat
-import tempfile
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Outcome, StarParams, is_totally_sorted, outcome_to_text
-from .engine import fork_trials, random_games
+from .engine import FireCount, fork_trials, random_games
 from .enumeration import EnumerationResult
 from .tableaux import from_outcome
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
+class FrequencyReport(NamedTuple):
     """Outcome tallies over independent seeded random-play stabilizations."""
 
     params: StarParams
@@ -72,6 +69,8 @@ class FrequencyReport:
         return min(syt_hits) > max(other_hits)
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "k": self.params.k,
             "m": self.params.m,
@@ -94,14 +93,15 @@ class FrequencyReport:
 
 def run_montecarlo(params: StarParams, trials: int, seed: int) -> FrequencyReport:
     """Tally outcomes of ``trials`` independent random-play stabilizations,
-    played by :func:`starchip.engine.random_games` in consecutive ranges of
-    trials on every usable CPU (:func:`starchip.engine.fork_trials`), so the
-    report depends only on (params, trials, seed)."""
+    played without move logs by :func:`starchip.engine.random_games` in
+    consecutive ranges of trials on every usable CPU
+    (:func:`starchip.engine.fork_trials`), so the report depends only on
+    (params, trials, seed)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     def tally_range(part: range) -> dict[Outcome, int]:
-        return dict(Counter(outcome for _, outcome, _ in random_games(params, part, seed)))
+        return dict(Counter(outcome for _, outcome, _ in random_games(params, part, seed, FireCount)))
 
     tally: Counter[Outcome] = Counter()
     for part in fork_trials(params, trials, tally_range):
@@ -154,6 +154,8 @@ def write_atomic(path: str, text: str) -> None:
     partially written file. As with ``open(path, "w")``, a symlink at
     ``path`` is written through, the file keeps or gets the mode that call
     would give it, and an OSError names ``path``, not the temp file."""
+    import tempfile
+
     target = os.path.realpath(path)
     umask = os.umask(0)
     os.umask(umask)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .core import (
     StarParams,
     WitnessConstructionError,
     _Board,
+    _Frozen,
     _State,
     outcome_to_text,
 )
@@ -31,8 +31,7 @@ from .verify import verify_branch_sorted, verify_rim_sorted
 GENERATION_CELL_BUDGET = 12
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Frozen):
     """A rectangular filling with the labels 1..k*m, each used once. Each
     entry is stored as the int ``operator.index`` gives, so a bool is stored
     as its int, and an entry that is not an int, such as 4.0, raises
@@ -43,15 +42,15 @@ class Tableau:
     outcomes can be inspected as tableaux.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        rows = tuple(tuple(row) for row in rows)
         try:
             rows = tuple(tuple(map(index, row)) for row in rows)
         except TypeError:
             raise ValueError("tableau entries must be int labels") from None
-        object.__setattr__(self, "rows", rows)
         if not rows or not rows[0]:
             raise ValueError("tableau must have at least one row and one column")
         m = len(rows[0])
@@ -61,6 +60,10 @@ class Tableau:
         entries = {x for row in rows for x in row}
         if entries != set(range(1, n + 1)):
             raise ValueError(f"entries must be a permutation of 1..{n}")
+        object.__setattr__(self, "rows", rows)
+
+    def _values(self) -> tuple[tuple[tuple[int, ...], ...]]:
+        return (self.rows,)
 
     @property
     def shape(self) -> tuple[int, int]:

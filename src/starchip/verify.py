@@ -29,7 +29,6 @@ branches.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -51,15 +50,13 @@ class FireRef(NamedTuple):
     from_end: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     subject: tuple
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifierReport:
+class VerifierReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property

@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 import starchip.cli
+import starchip.verify
 from starchip import Move, StarParams, derive_seed, engine
 from starchip.cli import main
 from starchip.engine import fork_trials, random_games
@@ -24,7 +25,7 @@ def run_cli(capsys, argv):
 
 
 def _game_check(verdicts):
-    """A stand-in for ``starchip.cli.GameCheck``, the per-game check of
+    """A stand-in for ``starchip.verify.GameCheck``, the per-game check of
     ``stabilize --verify`` and of each ``verify`` trial: it also records the
     moves of its game, and its verdicts are ``verdicts(moves, real
     verdicts)``."""
@@ -97,6 +98,19 @@ class TestStabilize:
         finally:
             tracemalloc.stop()
         assert code == 0  # every --verify check passed
+        assert "fires: 26810" in out
+        assert peak < 1.5 * 2**20
+
+    def test_an_unverified_game_keeps_no_log(self, capsys):
+        # the text output prints only the number of fires, which are counted
+        # as they are made; a log of 26,810 moves would pass the bound
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, ["stabilize", "--k", "20", "--m", "20", "--strategy", "random", "--seed", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
         assert "fires: 26810" in out
         assert peak < 1.5 * 2**20
 
@@ -371,7 +385,7 @@ class TestVerifyCommand:
         def broken(moves, real):  # fails the games whose last fire sends chips 1 and 2
             return {**real, "mixing": real["mixing"] and moves[-1].chips != (1, 2)}
 
-        monkeypatch.setattr(starchip.cli, "GameCheck", _game_check(broken))
+        monkeypatch.setattr(starchip.verify, "GameCheck", _game_check(broken))
         games = random_games(StarParams(2, 2), range(20), 4)
         failing = [i for i, (_, _, log) in enumerate(games) if log.moves[-1].chips == (1, 2)]
         assert 0 < failing[0] and len(failing) < 20
@@ -620,7 +634,7 @@ class TestProcessCount:
         def verdicts(moves, real):
             return {**real, "mixing": moves not in bad}
 
-        monkeypatch.setattr(starchip.cli, "GameCheck", _game_check(verdicts))
+        monkeypatch.setattr(starchip.verify, "GameCheck", _game_check(verdicts))
         code, out, err = run_cli(capsys, ["verify", "--k", "3", "--m", "3", "--samples", "90", "--seed", "4"])
         assert code == 1
         assert f"center resend order check failures: {len(failing)}" in out.splitlines()
@@ -640,7 +654,7 @@ class TestProcessCount:
                 raise RuntimeError(f"check of trial {trial} broke")
             return real
 
-        monkeypatch.setattr(starchip.cli, "GameCheck", _game_check(verdicts))
+        monkeypatch.setattr(starchip.verify, "GameCheck", _game_check(verdicts))
         with pytest.raises(RuntimeError, match=f"check of trial {trial} broke"):
             main(["verify", "--k", "3", "--m", "3", "--samples", "90", "--seed", "4"])
         _no_child_left()
