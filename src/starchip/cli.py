@@ -22,8 +22,29 @@ import sys
 from collections import Counter
 from typing import Iterable
 
-from .core import ChipGameError, StarParams, outcome_to_text
-from .engine import _STRATEGY_NAMES, FireCount, fork_trials, make_strategy, random_games, replay, stabilize_labeled
+from .core import BudgetExceededError, ChipGameError, StarParams, outcome_to_text
+from .engine import (
+    _STRATEGY_NAMES,
+    FireCount,
+    expected_total_fires,
+    fork_trials,
+    make_strategy,
+    random_games,
+    replay,
+    stabilize_labeled,
+)
+
+MAX_FIRES = 5_000_000
+"""Fires that ``stabilize``, ``montecarlo`` or ``verify`` plays unless
+``--max-fires`` says otherwise: the number of games times
+:func:`~starchip.engine.expected_total_fires`, checked before any game
+starts. The largest calls the tests, the demos, CI and the benchmark make
+are ``montecarlo --k 2 --m 5 --trials 20000`` (1,100,000 fires) and a
+(40,40) game (427,220). Five million is over four times the first, and
+about 25 s of random play at the 4.7 µs a fire of that (40,40) game (Python
+3.11.7, shared 2-vCPU host), where a (100,100) game (16,670,050 fires) or a
+(300,300) one (1.35e9) would run for minutes or days, and a ``--json`` game
+keeps every move."""
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -35,8 +56,23 @@ def _emit(text: str, out: str | None) -> None:
         write_atomic(out, text)
 
 
+def _check_fires(params: StarParams, games: int, max_fires: int | None) -> None:
+    """Refuse ``games`` games of ``params`` that make more fires than
+    ``max_fires``, by default MAX_FIRES, with a BudgetExceededError."""
+    if max_fires is not None and max_fires < 1:
+        raise ValueError("max_fires must be >= 1")
+    budget = MAX_FIRES if max_fires is None else max_fires
+    fires = games * expected_total_fires(params)
+    if fires > budget:
+        raise BudgetExceededError(
+            f"{fires} fires in {games} game{'s' * (games != 1)} of k={params.k}, m={params.m} "
+            f"exceed max_fires = {budget}"
+        )
+
+
 def cmd_stabilize(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
+    _check_fires(params, 1, args.max_fires)
     strategy = make_strategy(args.strategy, args.seed)
     if args.verify:
         from .verify import GameCheck
@@ -144,6 +180,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     from .reports import emit_table, run_montecarlo
 
     params = StarParams(args.k, args.m)
+    _check_fires(params, args.trials, args.max_fires)
     report = run_montecarlo(params, args.trials, args.seed)
     text = emit_table(report, "json" if args.json else "text")
     if args.with_enumeration:
@@ -158,8 +195,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 def _verify_range(params: StarParams, part: range, seed: int) -> tuple:
     """Play and check the trials in ``part``: the failures per check, the
-    distinct per-vertex fire counts, the distinct outcomes, and the first
-    failing trial as (trial, trial seed, failed checks), or None."""
+    distinct fire-count signatures, the distinct outcomes, and the first
+    failing trial as (trial, trial seed, failed checks), or None. A
+    signature is how often each slot fired, in slot order, which is
+    canonical vertex order, and how often each vertex with no slot fired,
+    in vertex order."""
     from .verify import GameCheck
 
     failures: Counter[str] = Counter()
@@ -168,7 +208,7 @@ def _verify_range(params: StarParams, part: range, seed: int) -> tuple:
     first = None
     for i, (trial_seed, outcome, check) in zip(part, random_games(params, part, seed, lambda: GameCheck(params))):
         outcomes.add(outcome)
-        fire_counts.add(tuple((*v, fires) for v, fires in sorted(check.per_vertex_fire_count.items())))
+        fire_counts.add((tuple(check.fired), tuple((*v, n) for v, n in sorted(check.stray.items()))))
         failed = [name for name, ok in check.verdicts(outcome).items() if not ok]
         if failed and first is None:
             first = (i, trial_seed, failed)
@@ -182,6 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_fires(params, args.samples, args.max_fires)
     failures: Counter[str] = Counter()
     fire_counts: set[tuple] = set()
     outcomes = set()
@@ -267,6 +308,8 @@ def build_parser(commands: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser
         else:  # verify
             p.add_argument("--samples", type=int, required=True)
             p.add_argument("--seed", type=int, required=True)
+        if name in ("stabilize", "montecarlo", "verify"):
+            p.add_argument("--max-fires", type=int, default=None, help=f"fire budget; default {MAX_FIRES}")
     return parser
 
 

@@ -299,17 +299,32 @@ def _fireable(board: _Board, counts: Sequence[int]) -> list[int]:
     return [s for s in board.firing if counts[s] >= deg[s]]
 
 
-def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...]) -> None:
-    """Fire the sorted ``chips`` at slot ``s``, which has routes, in place by
-    the routing rule of :func:`_receivers`. Only ``s`` and its receivers
-    change. A chip ``s`` does not hold, or one named twice, raises
-    ValueError from ``list.remove`` before any chip is routed, with ``s``
-    part-emptied. The number of chips is not checked here."""
-    held = state[s]
+def _fire(board: _Board, state: list[list[int]], s: int, chips: tuple[int, ...], fireable: list[int]) -> None:
+    """Fire the sorted ``chips`` at slot ``s`` in place by the routing rule
+    of :func:`_receivers`, and keep ``fireable``, the fireable slots of
+    ``state`` in canonical vertex order, so: a fire changes fireability
+    only at ``s``, which drops out when it falls below its degree, and at
+    its receivers, each of which joins when its new chip brings it to its
+    degree and it has routes.
+
+    A slot without routes or a number of chips other than its degree
+    raises ValueError before anything changes. A chip ``s`` does not hold,
+    or one named twice, raises ValueError from ``list.remove`` before any
+    chip is routed, with ``s`` part-emptied. Either way ``fireable`` is
+    left as it was."""
+    deg, routes = board.deg, board.routes
+    held, d = state[s], deg[s]
+    if len(chips) != d or not routes[s]:
+        raise ValueError(f"slot {s} cannot fire {chips}")
     for c in chips:
         held.remove(c)
-    for u, c in zip(board.routes[s], chips):
-        insort(state[u], c)
+    if len(held) < d:
+        fireable.remove(s)
+    for u, c in zip(routes[s], chips):
+        receiver = state[u]
+        insort(receiver, c)
+        if len(receiver) == deg[u] and routes[u]:
+            insort(fireable, u)
 
 
 class _Replay:

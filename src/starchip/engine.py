@@ -18,7 +18,6 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from bisect import insort
 from collections import Counter
 from math import comb
 from operator import index
@@ -178,10 +177,10 @@ class RandomUniform:
     ``SplitMix64.choose_subset`` call."""
 
     def __init__(self, seed: int):
-        self._rng = SplitMix64(seed)
+        self._choose = SplitMix64(seed).choose_subset
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, tuple[int, ...]]:
-        return self._rng.choose_subset(fireable, state, board.deg)
+        return self._choose(fireable, state, board.deg)
 
 
 class VolatilityMinimizing:
@@ -228,49 +227,42 @@ def stabilize_labeled(
     checks a game that keeps no log.
 
     A legal fire names a slot with routes (below level m) and degree-many
-    chips, all on it. The driver checks the slot and the count, and
-    ``_fire`` takes each chip off the slot with ``list.remove``, which
-    raises ValueError for a chip it does not hold or one named twice. The
-    first fire that fails ends the game with the IllegalMoveError
-    :func:`replay` raises for the same moves; a chip that is not an int,
-    such as 1.0, fails at once, and a slot that is not an int in
-    ``range(len(state))`` is named as such. Chips are logged and routed as
-    the ints ``operator.index`` gives, so a bool plays as its int.
+    chips, all on it. ``_fire`` checks the slot and the count and takes
+    each chip off the slot with ``list.remove``, which raises ValueError
+    for a chip it does not hold or one named twice. The first fire that
+    fails ends the game with the IllegalMoveError :func:`replay` raises for
+    the same moves; a chip that is not an int, such as 1.0, fails at once,
+    and a slot that is not an int in ``range(len(state))`` is named as
+    such. Chips are logged and routed as the ints ``operator.index``
+    gives, so a bool plays as its int.
 
-    A fire at slot s changes only s and its receivers, so the fireable
-    list the strategy reads, kept in canonical vertex order, loses s when
-    it drops below its degree and gains a receiver with routes that its new
-    chip brings to its degree. Legal chip-firing from finitely many chips
-    stops (Björner, Lovász and Shor, 1991), after expected_total_fires
-    fires.
+    ``_fire`` also keeps the fireable list the strategy reads. Legal
+    chip-firing from finitely many chips stops (Björner, Lovász and Shor,
+    1991), after expected_total_fires fires.
     """
     board = _board(params)
-    deg, routes, vertex = board.deg, board.routes, board.vertex
+    vertex = board.vertex
     state = [list(labels) for labels in board.start]
     fireable = _fireable(board, list(map(len, state)))
     moves: list[Move] | None = [] if log else None
+    pick = strategy.pick
     t = 0
     while fireable:
         t += 1
-        s, chips = strategy.pick(board, state, fireable)
+        s, chips = pick(board, state, fireable)
         if type(chips) is not tuple:
             chips = tuple(chips)
         try:
             chips = tuple(sorted(map(index, chips)))
-            if s < 0 or len(chips) != deg[s] or not routes[s]:
+            if s < 0:
                 raise ValueError
-            _fire(board, state, s, chips)
+            _fire(board, state, s, chips, fireable)
         except (TypeError, ValueError, IndexError):  # a chip or a slot that is not one
             raise _refused(board, state, t, s, chips) from None
         if moves is not None:
             moves.append(Move(vertex[s], chips))
         if check is not None:
             check(s, chips)
-        if len(state[s]) < deg[s]:
-            fireable.remove(s)
-        for u in routes[s]:
-            if len(state[u]) == deg[u] and routes[u]:  # only slots with routes fire
-                insort(fireable, u)
     return _outcome(board, state), None if moves is None else SequenceLog(params, tuple(moves))
 
 
@@ -292,7 +284,8 @@ def _refused(board: _Board, state: list[list[int]], step: int, s: object, chips:
 
 class FireCount:
     """Counts a game's fires as it plays them, as ``verify.GameCheck`` does
-    for a checked game: a ``checker`` for a game that keeps no log."""
+    for a checked game: the per-fire check of an unverified ``stabilize``,
+    which keeps no log."""
 
     __slots__ = ("fires",)
 
@@ -307,19 +300,22 @@ def random_games(
     params: StarParams, trials: range, seed: int, checker: Callable[[], Any] | None = None
 ) -> Iterator[tuple[int, Outcome, Any]]:
     """Play the random-play games of the trial indices in ``trials``, one
-    at a time, yielding (trial seed, outcome, log) for each; with
-    ``checker``, each game keeps no log and is played with the ``fire`` of
-    a new ``checker()``, such as a ``verify.GameCheck`` or a
-    :class:`FireCount`, yielded instead.
+    at a time, yielding (trial seed, outcome, check) for each. No game
+    keeps a log. With ``checker``, each game is played with the ``fire`` of
+    a new ``checker()``, such as a ``verify.GameCheck``, as its per-fire
+    check, and that check is yielded; without, a game makes no per-fire
+    call and None is yielded.
 
     Trial i plays ``RandomUniform(derive_seed(seed, i))``, which
     ``stabilize --strategy random --seed <trial seed>`` plays again.
     """
     for i in trials:
         trial_seed = derive_seed(seed, i)
-        play, checked = RandomUniform(trial_seed), checker and checker()
-        outcome, log = stabilize_labeled(params, play, log=not checked, check=checked and checked.fire)
-        yield trial_seed, outcome, checked or log
+        checked = checker() if checker is not None else None
+        outcome, _ = stabilize_labeled(
+            params, RandomUniform(trial_seed), log=False, check=None if checked is None else checked.fire
+        )
+        yield trial_seed, outcome, checked
 
 
 FORK_MIN_FIRES = 4_000

@@ -28,7 +28,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .core import Outcome, StarParams, is_totally_sorted, outcome_to_text
-from .engine import FireCount, fork_trials, random_games
+from .engine import fork_trials, random_games
 from .enumeration import EnumerationResult
 from .tableaux import from_outcome
 
@@ -93,7 +93,8 @@ class FrequencyReport(NamedTuple):
 
 def run_montecarlo(params: StarParams, trials: int, seed: int) -> FrequencyReport:
     """Tally outcomes of ``trials`` independent random-play stabilizations,
-    played without move logs by :func:`starchip.engine.random_games` in
+    played without move logs or per-fire checks by
+    :func:`starchip.engine.random_games` in
     consecutive ranges of trials on every usable CPU
     (:func:`starchip.engine.fork_trials`), so the report depends only on
     (params, trials, seed)."""
@@ -101,7 +102,7 @@ def run_montecarlo(params: StarParams, trials: int, seed: int) -> FrequencyRepor
         raise ValueError("trials must be >= 1")
 
     def tally_range(part: range) -> dict[Outcome, int]:
-        return dict(Counter(outcome for _, outcome, _ in random_games(params, part, seed, FireCount)))
+        return dict(Counter(outcome for _, outcome, _ in random_games(params, part, seed)))
 
     tally: Counter[Outcome] = Counter()
     for part in fork_trials(params, trials, tally_range):

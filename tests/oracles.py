@@ -53,9 +53,14 @@ class ReferenceSplitMix64:
         return tuple(sorted(items.pop(self.randrange(len(items))) for _ in range(size)))
 
 
+def _naive_order(cfg):
+    """The vertices of ``cfg``, center first, then by branch and level."""
+    return sorted(cfg, key=lambda x: (0,) if x == CENTER else (1,) + x)
+
+
 def _naive_moves(cfg, k):
     moves = []
-    for v in sorted(cfg, key=lambda x: (0,) if x == CENTER else (1,) + x):
+    for v in _naive_order(cfg):
         chips = sorted(cfg[v])
         deg = k if v == CENTER else 2
         if len(chips) >= deg:
@@ -192,8 +197,9 @@ def naive_total_sequences(k: int, m: int) -> int:
 
 
 def _naive_ready(cfg, k):
-    """Vertices that can fire, in the order ``_naive_moves`` lists them."""
-    return list(dict.fromkeys(v for v, _ in _naive_moves(cfg, k)))
+    """Vertices that can fire, in the order ``_naive_moves`` lists them,
+    found without building the moves."""
+    return [v for v in _naive_order(cfg) if len(cfg[v]) >= (k if v == CENTER else 2)]
 
 
 def naive_volmin_moves(cfg, k: int) -> list:
@@ -252,13 +258,12 @@ def naive_play(k: int, m: int, strategy: str, seed: int) -> list:
     cfg = {CENTER: frozenset(range(1, k * m + 1))}
     played = []
     while True:
-        moves = _naive_moves(cfg, k)
-        if not moves:
+        ready = _naive_ready(cfg, k)
+        if not ready:
             return played
         if strategy == "det":
-            mv = moves[0]
-        elif strategy == "random":
-            ready = _naive_ready(cfg, k)
+            mv = _naive_moves(cfg, k)[0]
+        elif strategy == "random":  # builds no move list, so it plays big boards too
             v = ready[rng.randrange(len(ready))]
             pool = sorted(cfg[v])
             picked = [pool.pop(rng.randrange(len(pool))) for _ in range(k if v == CENTER else 2)]

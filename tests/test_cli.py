@@ -12,7 +12,7 @@ import pytest
 
 import starchip.cli
 import starchip.verify
-from starchip import Move, StarParams, derive_seed, engine
+from starchip import Move, StarParams, derive_seed, engine, expected_total_fires
 from starchip.cli import main
 from starchip.engine import fork_trials, random_games
 from starchip.verify import GameCheck
@@ -45,6 +45,13 @@ def _game_check(verdicts):
             return verdicts(tuple(self.moves), super().verdicts(outcome))
 
     return Check
+
+
+def _logs(params, trials, seed):
+    """The moves of each random game of ``trials``, as the per-fire check
+    that ``random_games`` hands each fire records them."""
+    record = _game_check(lambda moves, real: real)
+    return [tuple(check.moves) for _, _, check in random_games(params, trials, seed, lambda: record(params))]
 
 
 class TestStabilize:
@@ -386,8 +393,8 @@ class TestVerifyCommand:
             return {**real, "mixing": real["mixing"] and moves[-1].chips != (1, 2)}
 
         monkeypatch.setattr(starchip.verify, "GameCheck", _game_check(broken))
-        games = random_games(StarParams(2, 2), range(20), 4)
-        failing = [i for i, (_, _, log) in enumerate(games) if log.moves[-1].chips == (1, 2)]
+        logs = _logs(StarParams(2, 2), range(20), 4)
+        failing = [i for i, moves in enumerate(logs) if moves[-1].chips == (1, 2)]
         assert 0 < failing[0] and len(failing) < 20
         code, out, err = run_cli(capsys, argv)
         assert code == 1
@@ -415,6 +422,86 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, ["verify", "--k", "3", "--m", "3", "--samples", "10", "--seed", "2"])
         assert code == 0
         assert "reachable set" not in out
+
+
+    def test_trials_whose_fire_counts_differ_print_no(self, capsys, monkeypatch):
+        class Miscounted(GameCheck):
+            """Counts a game's first fire twice when it sends chip 1 to branch 1."""
+
+            __slots__ = ()
+
+            def fire(self, s, chips, v=None):
+                if self.fires == 0 and chips[0] == 1:
+                    self.fired[s] += 1
+                super().fire(s, chips, v)
+
+        argv = ["verify", "--k", "2", "--m", "2", "--samples", "20", "--seed", "4"]
+        _, healthy, _ = run_cli(capsys, argv)
+        assert "per-vertex fire counts identical across logs: yes" in healthy.splitlines()
+        monkeypatch.setattr(starchip.verify, "GameCheck", Miscounted)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert "per-vertex fire counts identical across logs: NO" in out.splitlines()
+
+
+class TestFireBudget:
+    # stabilize, montecarlo and verify refuse games of more fires than the
+    # budget before any board is built; --max-fires sets the budget
+    @pytest.mark.parametrize(
+        "argv, games",
+        [
+            ("stabilize --k 300 --m 300", 1),
+            ("stabilize --k 100 --m 100 --strategy random --verify", 1),
+            ("montecarlo --k 40 --m 40 --trials 12 --seed 0", 12),
+            ("verify --k 30 --m 30 --samples 37 --seed 0", 37),
+        ],
+    )
+    def test_the_default_budget_refuses_at_once(self, capsys, argv, games):
+        from starchip.core import _board
+
+        argv = argv.split()
+        fires = games * expected_total_fires(StarParams(int(argv[2]), int(argv[4])))
+        assert fires > starchip.cli.MAX_FIRES
+        built = _board.cache_info().misses
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {fires} fires in {games} game{'s' * (games > 1)} of k={argv[2]}, m={argv[4]} "
+            f"exceed max_fires = {starchip.cli.MAX_FIRES}\n"
+        )
+        assert _board.cache_info().misses == built
+
+    def test_the_default_budget_covers_every_documented_call(self):
+        # the longest game CI plays, and demo 05's montecarlo call
+        assert expected_total_fires(StarParams(40, 40)) == 427_220 <= starchip.cli.MAX_FIRES
+        assert 20_000 * expected_total_fires(StarParams(2, 5)) == 1_100_000 <= starchip.cli.MAX_FIRES
+
+    @pytest.mark.parametrize(
+        "argv, fires",
+        [
+            ("stabilize --k 3 --m 3 --strategy random", 18),
+            ("montecarlo --k 3 --m 3 --trials 10 --seed 0", 180),
+            ("verify --k 2 --m 3 --samples 10 --seed 0", 140),
+        ],
+    )
+    def test_max_fires_sets_the_budget(self, capsys, argv, fires):
+        code, out, err = run_cli(capsys, [*argv.split(), "--max-fires", str(fires - 1)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {fires} fires in ") and err.endswith(f" exceed max_fires = {fires - 1}\n")
+        code, out, err = run_cli(capsys, [*argv.split(), "--max-fires", str(fires)])
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("command", ["stabilize", "montecarlo", "verify"])
+    def test_max_fires_below_one_exits_2(self, capsys, command):
+        rest = {
+            "stabilize": [],
+            "montecarlo": ["--trials", "1", "--seed", "0"],
+            "verify": ["--samples", "1", "--seed", "0"],
+        }
+        code, out, err = run_cli(capsys, [command, "--k", "2", "--m", "2", *rest[command], "--max-fires", "0"])
+        assert (code, out, err) == (2, "", "error: max_fires must be >= 1\n")
 
 
 _COMMANDS = ["stabilize", "enumerate", "volmin", "syt", "montecarlo", "verify"]
@@ -627,7 +714,7 @@ class TestProcessCount:
     @pytest.mark.parametrize("chosen", [{89}, {40, 80}, {5, 50}, {29, 30, 59, 60}])
     def test_reproduce_line_names_the_earliest_failing_trial(self, capsys, monkeypatch, split, chosen):
         params, samples, seed = StarParams(3, 3), 90, 4
-        logs = [log.moves for _, _, log in random_games(params, range(samples), seed)]
+        logs = _logs(params, range(samples), seed)
         bad = {logs[i] for i in chosen}
         failing = [i for i, moves in enumerate(logs) if moves in bad]
 
@@ -647,7 +734,7 @@ class TestProcessCount:
 
     @pytest.mark.parametrize("trial", [0, 45, 89])
     def test_an_error_in_any_range_is_raised_here_and_leaves_no_child(self, capsys, monkeypatch, split, trial):
-        logs = [log.moves for _, _, log in random_games(StarParams(3, 3), range(90), 4)]
+        logs = _logs(StarParams(3, 3), range(90), 4)
 
         def verdicts(moves, real):
             if moves == logs[trial]:

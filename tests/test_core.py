@@ -131,7 +131,9 @@ class TestApplyMove:
     def fire(params: StarParams, placement: dict, move: Move) -> dict:
         board = _board(params)
         state = packed(params, placement)
-        _fire(board, state, board.slot[move.vertex], move.chips)
+        fireable = _fireable(board, list(map(len, state)))
+        _fire(board, state, board.slot[move.vertex], move.chips, fireable)
+        assert fireable == _fireable(board, list(map(len, state)))
         return {v: set(labels) for v, labels in zip(board.vertex, state) if labels}
 
     def test_center_fire_routes_by_rank(self):
@@ -182,9 +184,11 @@ class TestApplyMove:
         # chip reaches a receiver
         board = _board(StarParams(2, 3))
         state = packed(board.params, {CENTER: {1, 2, 3, 4, 6}, Vertex(1, 1): {5}})
+        fireable = [0]
         with pytest.raises(ValueError):
-            _fire(board, state, 0, chips)
+            _fire(board, state, 0, chips, fireable)
         assert state[1:] == [[5], [], [], [], [], []]
+        assert fireable == [0]
 
 
 class TestCanonicalOutcome:
@@ -289,8 +293,39 @@ def state_with_fire(draw):
 
 def _fired(board, state, s, chips) -> list[list[int]]:
     after = [list(labels) for labels in state]
-    _fire(board, after, s, chips)
+    _fire(board, after, s, chips, _fireable(board, list(map(len, state))))
     return after
+
+
+@given(state_with_fire())
+def test_fire_keeps_the_fireable_list(case):
+    board, state, s, chips = case
+    after = [list(labels) for labels in state]
+    fireable = _fireable(board, list(map(len, state)))
+    _fire(board, after, s, chips, fireable)
+    assert fireable == _fireable(board, list(map(len, after)))
+
+
+@given(state_with_fire(), st.data())
+def test_a_refused_fire_leaves_the_fireable_list(case, data):
+    # the refusals: a count other than the degree, a slot without routes,
+    # a chip the slot does not hold and a chip named twice
+    board, state, s, chips = case
+    absent = data.draw(st.sampled_from([c for c in range(1, board.params.n_chips + 2) if c not in state[s]]))
+    refused = [
+        (s, chips[:-1]),
+        (s, chips + chips[:1]),
+        (data.draw(st.sampled_from([u for u, routes in enumerate(board.routes) if not routes])), chips),
+        (s, tuple(sorted(chips[1:] + (absent,)))),
+    ]
+    if len(chips) > 1:
+        refused.append((s, chips[:1] * len(chips)))
+    fireable = _fireable(board, list(map(len, state)))
+    for u, bad in refused:
+        kept = list(fireable)
+        with pytest.raises(ValueError):
+            _fire(board, [list(labels) for labels in state], u, bad, kept)
+        assert kept == fireable
 
 
 @given(state_with_fire())

@@ -584,8 +584,26 @@ def test_illegal_moves_are_reported_as_by_the_object_model(case):
         assert [v.rule for v in report.violations] == ["fire-count-mismatch"]
 
 
+class _Fires(list):
+    """A per-fire check that records each fire as (slot, chips)."""
+
+    def fire(self, s, chips):
+        self.append((s, chips))
+
+
 @pytest.mark.parametrize("a,b", [(0, 0), (0, 7), (3, 4), (5, 20), (19, 20)])
 def test_random_games_over_a_range_are_that_slice_of_a_full_run(a, b):
     params = StarParams(2, 3)
-    full = list(random_games(params, range(20), 11))
-    assert list(random_games(params, range(a, b), 11)) == full[a:b]
+    full = list(random_games(params, range(20), 11, _Fires))
+    assert list(random_games(params, range(a, b), 11, _Fires)) == full[a:b]
+
+
+def test_random_games_hand_each_fire_to_the_check_or_to_nothing():
+    params = StarParams(3, 3)
+    checked = list(random_games(params, range(30), 5, _Fires))
+    for (trial_seed, outcome, fires), (plain_seed, plain_outcome, none) in zip(
+        checked, random_games(params, range(30), 5), strict=True
+    ):
+        assert (plain_seed, plain_outcome, none) == (trial_seed, outcome, None)
+        _, log = stabilize_labeled(params, RandomUniform(trial_seed))
+        assert [(_board(params).vertex[s], chips) for s, chips in fires] == list(log.moves)

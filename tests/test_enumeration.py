@@ -251,7 +251,9 @@ def test_packed_kernel_matches_object_model(data):
         mv = Move(CENTER if v == "C" else Vertex(*v), chips)
         cfg = _naive_apply(cfg, (v, chips), k)
         replayed.fire(board.slot[mv.vertex], mv.chips, mv.vertex)
-        _fire(board, state, board.slot[mv.vertex], mv.chips)
+        fireable = _fireable(board, counts)
+        _fire(board, state, board.slot[mv.vertex], mv.chips, fireable)
+        assert fireable == _fireable(board, list(map(len, state)))
 
 
 def test_sweep_refuses_a_dead_end_before_the_last_layer():

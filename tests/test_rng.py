@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from math import comb
 
@@ -5,7 +6,7 @@ import pytest
 
 from oracles import ReferenceSplitMix64, naive_play
 from starchip import CENTER, RandomUniform, StarParams, stabilize_labeled
-from starchip.rng import _GOLDEN, _MASK64, SplitMix64, derive_seed
+from starchip.rng import _GOLDEN, _MASK64, BATCH, SplitMix64, _lanes, derive_seed
 
 # The first raw draw from this seed is 2^64 - 1, the one value every range
 # that is not a power of two rejects.
@@ -212,3 +213,86 @@ def test_games_whose_slot_or_chip_draw_rejects_match_the_naive_driver(k, m):
         assert log == want
         moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
         assert moves == naive_play(k, m, "random", seed)
+
+
+# The batched stream: BATCH outputs are computed at once, in lanes of one
+# int, and read by index.
+
+
+def _taken(seed, ref):
+    """How many outputs the reference stream has taken since ``seed``."""
+    return ((ref.state - seed) * pow(_GOLDEN, -1, 1 << 64)) & _MASK64
+
+
+def test_every_draw_follows_the_reference_stream_across_refills():
+    for seed in [0, REJECTING_SEED, _MASK64] + [derive_seed(7, i) for i in range(5)]:
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        while _taken(seed, ref) <= 3 * BATCH:
+            for n in (1, 2, 3, _MASK64, 3 << 64):
+                assert rng.randrange(n) == ref.randrange(n), (seed, n)
+                assert rng._state == ref.state, (seed, n)
+            for options in OPTION_LISTS:
+                o = options[ref.randrange(len(options))]
+                want = (o, ref.subset(POOLS[o], min(3, len(POOLS[o]))))
+                assert rng.choose_subset(options, POOLS, [min(3, len(pool)) for pool in POOLS]) == want
+                assert rng._state == ref.state, (seed, options)
+            for n in (1, 2, 5):
+                assert rng.subset(POOLS[n], n - 1) == ref.subset(POOLS[n], n - 1), (seed, n)
+                assert rng._state == ref.state, (seed, n)
+            assert rng.next_u64() == ref.next_u64()
+            assert rng._state == ref.state
+
+
+@pytest.mark.parametrize("j", [0, BATCH - 1, BATCH], ids=["first lane", "last lane", "after a refill"])
+def test_the_rejected_output_on_any_lane(j):
+    # seed REJECTING_SEED - j * golden puts the all-ones output at index j,
+    # which j draws of one output each reach
+    seed = (REJECTING_SEED - j * _GOLDEN) & _MASK64
+    ref = ReferenceSplitMix64(seed)
+    assert [ref.next_u64() for _ in range(j + 1)][j] == _MASK64
+
+    def lead(rng, ref, draws):
+        for _ in range(draws):
+            assert rng.randrange(2) == ref.randrange(2)
+        assert rng._state == ref.state
+
+    # an option draw among three
+    rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+    lead(rng, ref, j)
+    o = OPTION_LISTS[2][ref.randrange(3)]
+    assert rng.choose_subset(OPTION_LISTS[2], POOLS, [2] * 13) == (o, ref.subset(POOLS[o], 2))
+    assert rng._state == ref.state == (seed + (j + 4) * _GOLDEN) & _MASK64
+    # a chip draw, by subset and after choose_subset passes over one option
+    for draw in ("subset", "choose_subset"):
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        if draw == "subset":
+            lead(rng, ref, j)
+            assert rng.subset(POOLS[3], 3) == ref.subset(POOLS[3], 3)
+        else:
+            if j == 0:
+                continue
+            lead(rng, ref, j - 1)
+            ref.randrange(1)
+            assert rng.choose_subset([3], POOLS, [3] * 13) == (3, ref.subset(POOLS[3], 3))
+        assert rng._state == ref.state == (seed + (j + 4) * _GOLDEN) & _MASK64
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+def test_lanes_are_read_back_in_either_byte_order(byteorder):
+    # each lane's 64-bit value is found where _lanes says, whichever byte
+    # order the batch is written in; the host's own is read as words
+    values = [derive_seed(3, i) for i in range(BATCH)]
+    x = sum(v << 128 * i for i, v in enumerate(values))
+    data = x.to_bytes(16 * BATCH, byteorder)
+    words = range(2 * BATCH)[_lanes(byteorder)]
+    assert [int.from_bytes(data[8 * w : 8 * w + 8], byteorder) for w in words] == values
+    if byteorder == sys.byteorder:
+        assert memoryview(data).cast("Q")[_lanes(byteorder)].tolist() == values
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_long_random_game_matches_the_naive_driver(seed):
+    # 1,705 fires and about 5,600 outputs, so some 88 batches
+    _, log = stabilize_labeled(StarParams(10, 10), RandomUniform(seed))
+    moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
+    assert moves == naive_play(10, 10, "random", seed)
