@@ -10,10 +10,15 @@ rings are sorted across branches too.
 
 Every game starts with all km chips on the center, so `stabilize_labeled`
 takes only the shape and a strategy, and every game from that start makes
-the same number of fires.
+the same number of fires. A game keeps no log: it returns its outcome and
+how many fires it made, and a per-fire check sees each fire as it is made.
 """
 from starchip import (
+    CENTER,
+    Move,
+    SequenceLog,
     StarParams,
+    branch_vertex,
     expected_total_fires,
     make_strategy,
     outcome_to_text,
@@ -27,14 +32,19 @@ from starchip import (
 params = StarParams(k=3, m=3)
 
 for name in ("det", "random", "volmin"):
-    outcome, log = stabilize_labeled(params, make_strategy(name, seed=2024))
-    print(f"{name:>6}: {outcome_to_text(outcome)} in {len(log)} fires "
+    outcome, fires = stabilize_labeled(params, make_strategy(name, seed=2024))
+    print(f"{name:>6}: {outcome_to_text(outcome)} in {fires} fires "
           f"(always {expected_total_fires(params)})")
 
-# Play one noisy game and inspect its log.
-outcome, log = stabilize_labeled(params, make_strategy("random", seed=5))
+# Play one noisy game and record its moves. The check hears each fire as a
+# slot and its chips: slot 0 is the center, slot (i-1)*m + j is B(i,j).
+vertex = [CENTER] + [branch_vertex(i, j) for i in range(1, params.k + 1) for j in range(1, params.m + 1)]
+moves = []
+outcome, _ = stabilize_labeled(params, make_strategy("random", seed=5),
+                               lambda s, chips: moves.append(Move(vertex[s], chips)))
+log = SequenceLog(params, tuple(moves))
 print("\na random game, move by move:")
-print(log.to_text())
+print("".join(f"{mv}\n" for mv in moves))
 
 print("branches sorted:      ", verify_branch_sorted(outcome))
 print("inner/outer rims sorted:", verify_rim_sorted(outcome))

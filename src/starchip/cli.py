@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .core import BudgetExceededError, ChipGameError, StarParams, outcome_to_text
+from .core import BudgetExceededError, ChipGameError, Move, StarParams, _board, outcome_to_text
 from .engine import (
     _STRATEGY_NAMES,
-    FireCount,
     expected_total_fires,
     fork_trials,
     make_strategy,
@@ -44,7 +43,7 @@ are ``montecarlo --k 2 --m 5 --trials 20000`` (1,100,000 fires) and a
 about 25 s of random play at the 4.7 µs a fire of that (40,40) game (Python
 3.11.7, shared 2-vCPU host), where a (100,100) game (16,670,050 fires) or a
 (300,300) one (1.35e9) would run for minutes or days, and a ``--json`` game
-keeps every move."""
+holds the line of each move, about 26 bytes, until it ends."""
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -70,20 +69,36 @@ def _check_fires(params: StarParams, games: int, max_fires: int | None) -> None:
         )
 
 
+def _move_lines(params: StarParams, lines: bytearray, then: Callable[[int, tuple], object] | None) -> Callable:
+    """A per-fire check that appends each fire's line of the ``stabilize
+    --json`` moves list, ``    "C:{1,2}",`` and a newline, to ``lines``,
+    then hands the fire to ``then``, if given. A move is ASCII that JSON
+    needs no escape for: ``C``, ``B``, digits and ``(),:{}``."""
+    vertex = _board(params).vertex
+
+    def record(s: int, chips: tuple[int, ...]) -> None:
+        lines.extend(f'    "{Move(vertex[s], chips)}",\n'.encode())
+        if then is not None:
+            then(s, chips)
+
+    return record
+
+
 def cmd_stabilize(args: argparse.Namespace) -> int:
     params = StarParams(args.k, args.m)
     _check_fires(params, 1, args.max_fires)
     strategy = make_strategy(args.strategy, args.seed)
+    check = watch = None
+    lines = bytearray()  # the --json moves, one line each, written as they are made
     if args.verify:
         from .verify import GameCheck
 
         check = GameCheck(params)
-    else:
-        check = FireCount()
-    # a game is checked or counted as it is played; only the JSON document prints its moves
-    outcome, log = stabilize_labeled(params, strategy, log=args.json, check=check.fire)
-    checks = check.verdicts(outcome) if args.verify else {}
-    fires = check.fires
+        watch = check.fire
+    if args.json:
+        watch = _move_lines(params, lines, watch)
+    outcome, fires = stabilize_labeled(params, strategy, watch)
+    checks = check.verdicts(outcome) if check is not None else {}
     if args.json:
         import json
 
@@ -94,11 +109,16 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "outcome": [list(row) for row in outcome],
             "fires": fires,
-            "moves": [str(mv) for mv in log],
+            "moves": [],
         }
         if args.verify:
             doc["verification"] = checks
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        head, tail = json.dumps(doc, indent=2).split('"moves": []')
+        sys.stdout.write(head + '"moves": [\n')
+        end = len(lines) - 2  # the last move's line takes no comma
+        for i in range(0, end, 1 << 16):  # never one more copy of every move
+            sys.stdout.write(lines[i : min(i + (1 << 16), end)].decode())
+        sys.stdout.write("\n  ]" + tail + "\n")
     else:
         sys.stdout.write(f"outcome: {outcome_to_text(outcome)}\n")
         sys.stdout.write(f"fires: {fires}\n")

@@ -7,11 +7,12 @@ one start of the labeled game (``_Board.start``), those counts have a closed
 form: :func:`expected_fire_count`, and :func:`expected_total_fires`, the
 length of every labeled game. A game fires in place on one copy of
 ``_Board.start``, the packed state of :mod:`starchip.core`: a strategy
-names each fire as a slot and its chips, the driver checks it, hands it to
-a per-fire check if there is one and logs it if asked to. Replays hold only
-where each label is (``core._Replay``). Seeded random trials run on every
-usable CPU (:func:`fork_trials`), and the output does not depend on how
-many there are.
+names each fire as a slot and its chips, and the driver checks it and hands
+it to a per-fire check, if there is one. A game keeps no log: the driver
+returns how many fires it made, and a check verifies or records them.
+Replays hold only where each label is (``core._Replay``). Seeded random
+trials run on every usable CPU (:func:`fork_trials`), and the output does
+not depend on how many there are.
 """
 from __future__ import annotations
 
@@ -91,8 +92,9 @@ def stabilize_unlabeled(params: StarParams, n: int) -> tuple[dict[Vertex, int], 
 
 class SequenceLog(_Frozen):
     """An ordered record of fires, normally a complete stabilization
-    sequence: the moves and nothing else. Its readers, the verifiers
-    included, read the moves once, front to back."""
+    sequence read from text: the moves and nothing else. Its readers, the
+    verifiers included, read the moves once, front to back. A game keeps
+    no log; a per-fire check of :func:`stabilize_labeled` records one."""
 
     __slots__ = ("params", "moves")
     params: StarParams
@@ -105,23 +107,11 @@ class SequenceLog(_Frozen):
     def _values(self) -> tuple[StarParams, tuple[Move, ...]]:
         return self.params, self.moves
 
-    @property
-    def per_vertex_fire_count(self) -> dict[Vertex, int]:
-        """How often each fired vertex fires, in order of first fire."""
-        return dict(Counter(mv.vertex for mv in self.moves))
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def __iter__(self) -> Iterator[Move]:
-        return iter(self.moves)
-
-    def to_text(self) -> str:
-        """One move per line: ``C:{1,2,3}`` or ``B(i,j):{a,b}``."""
-        return "\n".join(str(mv) for mv in self.moves) + ("\n" if self.moves else "")
-
     @classmethod
     def from_text(cls, params: StarParams, text: str) -> "SequenceLog":
+        """The log of ``text``: one move per line, ``C:{1,2,3}`` or
+        ``B(i,j):{a,b}``; blank lines and lines that start with ``#`` are
+        skipped."""
         moves = []
         for line in text.splitlines():
             line = line.strip()
@@ -218,13 +208,14 @@ def make_strategy(name: str, seed: int = 0) -> Strategy:
 
 
 def stabilize_labeled(
-    params: StarParams, strategy: Strategy, *, log: bool = True, check: Callable[[int, tuple], object] | None = None
-) -> tuple[Outcome, SequenceLog | None]:
+    params: StarParams, strategy: Strategy, check: Callable[[int, tuple], object] | None = None
+) -> tuple[Outcome, int]:
     """Play one game from all chips on the center with moves chosen by
-    ``strategy``; return the outcome and the move log, or None for the log
-    when ``log`` is false. ``check``, if given, is called with the slot and
-    the chips of each fire once it is made, so a ``verify.GameCheck``
-    checks a game that keeps no log.
+    ``strategy``; return the outcome and the number of fires made. The game
+    keeps no log: ``check``, if given, is called with the slot and the
+    chips of each fire once it is made, so a ``verify.GameCheck`` checks
+    the game and a recorder keeps its moves. Slot 0 is the center and slot
+    (i-1)*m + j is B(i,j).
 
     A legal fire names a slot with routes (below level m) and degree-many
     chips, all on it. ``_fire`` checks the slot and the count and takes
@@ -233,7 +224,7 @@ def stabilize_labeled(
     fails ends the game with the IllegalMoveError :func:`replay` raises for
     the same moves; a chip that is not an int, such as 1.0, fails at once,
     and a slot that is not an int in ``range(len(state))`` is named as
-    such. Chips are logged and routed as the ints ``operator.index``
+    such. Chips are checked and routed as the ints ``operator.index``
     gives, so a bool plays as its int.
 
     ``_fire`` also keeps the fireable list the strategy reads. Legal
@@ -241,10 +232,8 @@ def stabilize_labeled(
     1991), after expected_total_fires fires.
     """
     board = _board(params)
-    vertex = board.vertex
     state = [list(labels) for labels in board.start]
     fireable = _fireable(board, list(map(len, state)))
-    moves: list[Move] | None = [] if log else None
     pick = strategy.pick
     t = 0
     while fireable:
@@ -259,11 +248,9 @@ def stabilize_labeled(
             _fire(board, state, s, chips, fireable)
         except (TypeError, ValueError, IndexError):  # a chip or a slot that is not one
             raise _refused(board, state, t, s, chips) from None
-        if moves is not None:
-            moves.append(Move(vertex[s], chips))
         if check is not None:
             check(s, chips)
-    return _outcome(board, state), None if moves is None else SequenceLog(params, tuple(moves))
+    return _outcome(board, state), t
 
 
 def _refused(board: _Board, state: list[list[int]], step: int, s: object, chips: tuple) -> IllegalMoveError:
@@ -282,20 +269,6 @@ def _refused(board: _Board, state: list[list[int]], step: int, s: object, chips:
     raise AssertionError(f"_check_fire accepts {chips} at slot {s}, which the game refused")
 
 
-class FireCount:
-    """Counts a game's fires as it plays them, as ``verify.GameCheck`` does
-    for a checked game: the per-fire check of an unverified ``stabilize``,
-    which keeps no log."""
-
-    __slots__ = ("fires",)
-
-    def __init__(self) -> None:
-        self.fires = 0
-
-    def fire(self, s: int, chips: tuple[int, ...]) -> None:
-        self.fires += 1
-
-
 def random_games(
     params: StarParams, trials: range, seed: int, checker: Callable[[], Any] | None = None
 ) -> Iterator[tuple[int, Outcome, Any]]:
@@ -312,9 +285,7 @@ def random_games(
     for i in trials:
         trial_seed = derive_seed(seed, i)
         checked = checker() if checker is not None else None
-        outcome, _ = stabilize_labeled(
-            params, RandomUniform(trial_seed), log=False, check=None if checked is None else checked.fire
-        )
+        outcome, _ = stabilize_labeled(params, RandomUniform(trial_seed), None if checked is None else checked.fire)
         yield trial_seed, outcome, checked
 
 

@@ -23,6 +23,7 @@ from .core import (
     _Board,
     _Frozen,
     _State,
+    _board,
     outcome_to_text,
 )
 from .engine import stabilize_labeled
@@ -213,10 +214,12 @@ def witness_sequence(t: Tableau) -> list[Move]:
     WitnessConstructionError, which indicates a bug, not bad input.
     """
     outcome = to_outcome(t)
-    final, log = stabilize_labeled(StarParams(*t.shape), _WitnessScript(t))
+    params, moves = StarParams(*t.shape), []
+    vertex = _board(params).vertex
+    final, _ = stabilize_labeled(params, _WitnessScript(t), lambda s, chips: moves.append(Move(vertex[s], chips)))
     if final != outcome:
         raise WitnessConstructionError(f"script for {t} stabilized elsewhere")
-    return list(log.moves)
+    return moves
 
 
 def _columns_strictly_increase(grid: tuple[tuple[int, ...], ...]) -> bool:

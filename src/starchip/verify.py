@@ -74,8 +74,8 @@ def endgame_refs(params: StarParams) -> list[FireRef]:
 class GameCheck:
     """The checks of :func:`check_game`, made fire by fire: pass each fire
     to :meth:`fire`, in order, as a game makes it
-    (``stabilize_labeled(params, strategy, log=False, check=check.fire)``)
-    or a log records it, then read the verdicts off.
+    (``stabilize_labeled(params, strategy, check.fire)``) or a log records
+    it, then read the verdicts off.
 
     It holds a ``core._Replay`` of the fires, how often each slot has
     fired, the index of each endgame fire (a slot's f-th from the end

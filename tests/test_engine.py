@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -27,9 +28,10 @@ from starchip import (
 from starchip.core import _board, _fireable, totally_sorted_outcome
 from starchip.engine import _unrank, random_games
 from starchip.tableaux import Tableau, _WitnessScript
-from starchip.verify import check_game
+from starchip.verify import GameCheck, check_game
 
 from oracles import ReferenceSplitMix64, naive_play, naive_replay, naive_state_text
+from recorder import Moves, played
 
 
 class TestUnlabeledStabilization:
@@ -112,45 +114,45 @@ class TestClosedForms:
 
 class TestLabeledStabilization:
     def test_single_branch_deterministic(self):
-        outcome, log = stabilize_labeled(StarParams(1, 2), Deterministic())
+        outcome, log = played(StarParams(1, 2), Deterministic())
         assert outcome == ((1, 2),)
-        assert len(log) == expected_total_fires(StarParams(1, 2))
+        assert len(log.moves) == expected_total_fires(StarParams(1, 2))
 
     @pytest.mark.parametrize("strategy", [Deterministic(), RandomUniform(5), VolatilityMinimizing(5)])
     def test_two_branches_one_level_is_forced(self, strategy):
-        outcome, _ = stabilize_labeled(StarParams(2, 1), strategy)
-        assert outcome == ((1,), (2,))
+        # with no per-fire check, the game returns its outcome and its one fire
+        assert stabilize_labeled(StarParams(2, 1), strategy) == (((1,), (2,)), 1)
 
     @pytest.mark.parametrize("name", ["det", "random", "volmin"])
     @pytest.mark.parametrize("k,m", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_log_length_matches_closed_form(self, name, k, m):
         params = StarParams(k, m)
-        outcome, log = stabilize_labeled(params, make_strategy(name, seed=3))
-        assert len(log) == expected_total_fires(params)
-        assert log.per_vertex_fire_count[CENTER] == expected_fire_count(params, CENTER)
+        outcome, log = played(params, make_strategy(name, seed=3))
+        assert len(log.moves) == expected_total_fires(params)
+        assert Counter(mv.vertex for mv in log.moves)[CENTER] == expected_fire_count(params, CENTER)
         assert sorted(x for row in outcome for x in row) == list(range(1, k * m + 1))
 
     @pytest.mark.parametrize("name", ["random", "volmin"])
     def test_same_seed_same_log(self, name):
         params = StarParams(3, 3)
-        _, log1 = stabilize_labeled(params, make_strategy(name, seed=99))
-        _, log2 = stabilize_labeled(params, make_strategy(name, seed=99))
+        _, log1 = played(params, make_strategy(name, seed=99))
+        _, log2 = played(params, make_strategy(name, seed=99))
         assert log1 == log2
 
     def test_engine_logs_replay_to_their_outcome(self):
         for name in ("det", "random", "volmin"):
             params = StarParams(3, 2)
-            outcome, log = stabilize_labeled(params, make_strategy(name, seed=6))
+            outcome, log = played(params, make_strategy(name, seed=6))
             assert replay(params, log.moves) == outcome
 
     def test_confluence_of_lengths_and_fire_counts(self):
         params = StarParams(2, 3)
         logs = [
-            stabilize_labeled(params, RandomUniform(seed))[1]
+            played(params, RandomUniform(seed))[1]
             for seed in range(50)
         ]
-        lengths = {len(log) for log in logs}
-        count_maps = {tuple(sorted(log.per_vertex_fire_count.items())) for log in logs}
+        lengths = {len(log.moves) for log in logs}
+        count_maps = {tuple(sorted(Counter(mv.vertex for mv in log.moves).items())) for log in logs}
         assert lengths == {expected_total_fires(params)}
         assert len(count_maps) == 1
 
@@ -164,7 +166,7 @@ class TestReplay:
     def test_scripted_three_branch_game(self, replay_3x3_text):
         params = StarParams(3, 3)
         log = SequenceLog.from_text(params, replay_3x3_text)
-        assert len(log) == 18
+        assert len(log.moves) == 18
         final = replay(params, log.moves)
         assert final == ((1, 4, 7), (2, 3, 8), (5, 6, 9))
         assert outcome_to_text(final) == "[1,4,7],[2,3,8],[5,6,9]"
@@ -193,8 +195,8 @@ class TestReplay:
 class TestSequenceLog:
     def test_text_roundtrip(self):
         params = StarParams(2, 2)
-        _, log = stabilize_labeled(params, RandomUniform(17))
-        assert SequenceLog.from_text(params, log.to_text()) == log
+        _, log = played(params, RandomUniform(17))
+        assert SequenceLog.from_text(params, "".join(f"{mv}\n" for mv in log.moves)) == log
 
     def test_text_skips_blank_and_comment_lines(self):
         params = StarParams(1, 1)
@@ -203,14 +205,16 @@ class TestSequenceLog:
 
     def test_fire_count_and_positions(self):
         params = StarParams(2, 2)
-        _, log = stabilize_labeled(params, Deterministic())
-        counts = log.per_vertex_fire_count
+        _, log = played(params, Deterministic())
+        counts = Counter(mv.vertex for mv in log.moves)
         assert counts[CENTER] == 3
 
     def test_fire_count_and_positions_are_fresh_copies(self):
-        _, log = stabilize_labeled(StarParams(2, 2), Deterministic())
-        log.per_vertex_fire_count[CENTER] = 99
-        assert log.per_vertex_fire_count[CENTER] == 3
+        # a log has no fire counts of its own; a game's come from its GameCheck
+        check = GameCheck(StarParams(2, 2))
+        stabilize_labeled(StarParams(2, 2), Deterministic(), check.fire)
+        check.per_vertex_fire_count[CENTER] = 99
+        assert check.per_vertex_fire_count[CENTER] == 3
 
     def test_move_parse_matches_str(self):
         mv = Move(Vertex(2, 1), (3, 9))
@@ -227,7 +231,7 @@ def test_games_match_the_naive_driver(k, m, name):
     # moves agree move for move, draw for draw.
     params = StarParams(k, m)
     for seed in (0, 1, 7, 2024):
-        _, log = stabilize_labeled(params, make_strategy(name, seed))
+        _, log = played(params, make_strategy(name, seed))
         moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
         assert moves == naive_play(k, m, name, seed)
 
@@ -236,7 +240,7 @@ def test_volmin_play_reaches_a_filling_that_is_not_standard():
     # At (3,4) volmin play ends outside the standard-tableau image: 639
     # outcomes against 462 SYT in the exhaustive search. Seed 413 is one
     # such game, and the naive driver plays it fire for fire.
-    outcome, log = stabilize_labeled(StarParams(3, 4), VolatilityMinimizing(413))
+    outcome, log = played(StarParams(3, 4), VolatilityMinimizing(413))
     assert outcome_to_text(outcome) == "[1,4,5,9],[2,3,7,11],[6,8,10,12]"
     assert [row[1] for row in outcome] == [4, 3, 8]
     assert not from_outcome(outcome).is_standard
@@ -343,7 +347,7 @@ def test_a_slot_off_the_board_is_refused_naming_the_step(slot, name, at):
     # played the center until a removal raised a bare ValueError
     strategy = _SlotStrategy(slot, at)
     with pytest.raises(IllegalMoveError, match=rf"at step {at}: no slot {name} on a board of 10 slots$") as err:
-        stabilize_labeled(StarParams(3, 3), strategy, log=at == 1)
+        stabilize_labeled(StarParams(3, 3), strategy)
     assert err.value.step == strategy.picks == at
 
 
@@ -393,9 +397,9 @@ def test_a_fire_of_chips_the_vertex_does_not_hold_is_refused(k, m, script, step,
 
 
 def test_a_bool_chip_is_played_as_its_int():
-    outcome, log = stabilize_labeled(StarParams(2, 1), _Script([Move(CENTER, (True, 2))]))
+    outcome, log = played(StarParams(2, 1), _Script([Move(CENTER, (True, 2))]))
     assert outcome_to_text(outcome) == "[1],[2]"
-    assert [type(c) for row in outcome for c in row] == [type(c) for mv in log for c in mv.chips] == [int, int]
+    assert [type(c) for row in outcome for c in row] == [type(c) for mv in log.moves for c in mv.chips] == [int, int]
 
 
 class _SloppyStrategy:
@@ -438,7 +442,7 @@ def test_a_game_is_refused_at_its_first_illegal_fire_or_passes_every_check(k, m)
     for seed in range(200):
         strategy = _SloppyStrategy(params, 1000 * (10 * k + m) + seed)
         try:
-            outcome, log = stabilize_labeled(params, strategy)
+            outcome, log = played(params, strategy)
         except IllegalMoveError as e:
             assert e.step == strategy.fault == strategy.picks
             refused += 1
@@ -454,13 +458,12 @@ def test_a_game_without_a_log_names_its_illegal_fire_as_replay_does(k, m):
     # with no log to replay, the refused fire is named from the game's own
     # state; the text must be replay's for the fires made and the refused one
     params = StarParams(k, m)
-    vertex = _board(params).vertex
     refused = 0
     for seed in range(200):
         strategy = _SloppyStrategy(params, 1000 * (10 * k + m) + seed)
-        made = []
+        made = Moves(params)
         try:
-            stabilize_labeled(params, strategy, log=False, check=lambda s, chips: made.append(Move(vertex[s], chips)))
+            stabilize_labeled(params, strategy, made.fire)
         except IllegalMoveError as e:
             assert e.step == strategy.fault == len(made) + 1
             with pytest.raises(IllegalMoveError) as replayed:
@@ -481,9 +484,9 @@ class _SlicingStrategy:
 
 def test_a_strategy_returning_list_chips_logs_tuples_and_passes_every_check():
     params = StarParams(2, 2)
-    outcome, log = stabilize_labeled(params, _SlicingStrategy())
-    assert all(type(mv.chips) is tuple for mv in log)
-    assert log == stabilize_labeled(params, Deterministic())[1]
+    outcome, log = played(params, _SlicingStrategy())
+    assert all(type(mv.chips) is tuple for mv in log.moves)
+    assert log == played(params, Deterministic())[1]
     assert all(check_game(outcome, log).values())
 
 
@@ -523,9 +526,9 @@ def test_the_kept_fireable_list_equals_a_rescan(k, m):
     params = StarParams(k, m)
     for strategy in _strategies(k, m):
         spy = _Spy(strategy)
-        _, log = stabilize_labeled(params, spy)
-        assert spy.picks == len(log) == expected_total_fires(params)
-        assert all(type(mv.chips) is tuple for mv in log)
+        _, log = played(params, spy)
+        assert spy.picks == len(log.moves) == expected_total_fires(params)
+        assert all(type(mv.chips) is tuple for mv in log.moves)
 
 
 @pytest.mark.parametrize(
@@ -545,7 +548,7 @@ def test_a_broken_fire_changes_only_its_slot_and_receivers(fault, k, m):
 
 def _bad_logs():
     params = StarParams(3, 3)
-    _, log = stabilize_labeled(params, RandomUniform(11))
+    _, log = played(params, RandomUniform(11))
     moves = list(log.moves)
     t = next(t for t, mv in enumerate(moves) if mv.vertex == CENTER and t > 3)
     b = next(t for t, mv in enumerate(moves) if mv.vertex == Vertex(2, 1))
@@ -584,26 +587,19 @@ def test_illegal_moves_are_reported_as_by_the_object_model(case):
         assert [v.rule for v in report.violations] == ["fire-count-mismatch"]
 
 
-class _Fires(list):
-    """A per-fire check that records each fire as (slot, chips)."""
-
-    def fire(self, s, chips):
-        self.append((s, chips))
-
-
 @pytest.mark.parametrize("a,b", [(0, 0), (0, 7), (3, 4), (5, 20), (19, 20)])
 def test_random_games_over_a_range_are_that_slice_of_a_full_run(a, b):
     params = StarParams(2, 3)
-    full = list(random_games(params, range(20), 11, _Fires))
-    assert list(random_games(params, range(a, b), 11, _Fires)) == full[a:b]
+    full = list(random_games(params, range(20), 11, lambda: Moves(params)))
+    assert list(random_games(params, range(a, b), 11, lambda: Moves(params))) == full[a:b]
 
 
 def test_random_games_hand_each_fire_to_the_check_or_to_nothing():
     params = StarParams(3, 3)
-    checked = list(random_games(params, range(30), 5, _Fires))
+    checked = list(random_games(params, range(30), 5, lambda: Moves(params)))
     for (trial_seed, outcome, fires), (plain_seed, plain_outcome, none) in zip(
         checked, random_games(params, range(30), 5), strict=True
     ):
         assert (plain_seed, plain_outcome, none) == (trial_seed, outcome, None)
-        _, log = stabilize_labeled(params, RandomUniform(trial_seed))
-        assert [(_board(params).vertex[s], chips) for s, chips in fires] == list(log.moves)
+        _, log = played(params, RandomUniform(trial_seed))
+        assert fires == list(log.moves)

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from oracles import ReferenceSplitMix64, naive_play
-from starchip import CENTER, RandomUniform, StarParams, stabilize_labeled
+from recorder import played
+from starchip import CENTER, RandomUniform, StarParams
 from starchip.rng import _GOLDEN, _MASK64, BATCH, SplitMix64, _lanes, derive_seed
 
 # The first raw draw from this seed is 2^64 - 1, the one value every range
@@ -80,8 +81,9 @@ def _seeds():
 def test_randrange_follows_the_reference_stream():
     ranges = list(range(1, 13)) + [1 << 32, 3 << 61, (1 << 63) + 1, _MASK64, 1 << 64]
     # one 64-bit output cannot cover these; C(75, 25) is the first volmin
-    # draw of (25,3) and C(400, 20) that of (20,20)
-    ranges += [(1 << 64) + 1, 3 << 64, comb(75, 25), comb(400, 20)]
+    # draw of (25,3) and C(400, 20) that of (20,20); 2^128 - 1 takes two
+    # outputs and 2^128 three, the edge of the word count (n - 1).bit_length()
+    ranges += [(1 << 64) + 1, 3 << 64, comb(75, 25), comb(400, 20), (1 << 128) - 1, 1 << 128]
     for seed in _seeds():
         rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
         for n in ranges:
@@ -204,12 +206,12 @@ def test_games_whose_slot_or_chip_draw_rejects_match_the_naive_driver(k, m):
     for j in range(60):
         seed = (REJECTING_SEED - j * _GOLDEN) & _MASK64
         reference = _ReferenceRandomPlay(seed)
-        _, want = stabilize_labeled(params, reference)
+        _, want = played(params, reference)
         for kind in reference.rejected - set(found):
             found[kind] = (seed, want)
     assert set(found) == {"slot", "chip"}
     for seed, want in found.values():
-        _, log = stabilize_labeled(params, RandomUniform(seed))
+        _, log = played(params, RandomUniform(seed))
         assert log == want
         moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
         assert moves == naive_play(k, m, "random", seed)
@@ -293,6 +295,6 @@ def test_lanes_are_read_back_in_either_byte_order(byteorder):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_long_random_game_matches_the_naive_driver(seed):
     # 1,705 fires and about 5,600 outputs, so some 88 batches
-    _, log = stabilize_labeled(StarParams(10, 10), RandomUniform(seed))
+    _, log = played(StarParams(10, 10), RandomUniform(seed))
     moves = [("C" if mv.vertex == CENTER else tuple(mv.vertex), mv.chips) for mv in log.moves]
     assert moves == naive_play(10, 10, "random", seed)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -27,10 +28,11 @@ from starchip.core import _board, totally_sorted_outcome
 from starchip.verify import FireRef, GameCheck, VerifierReport, Violation, check_game
 
 from oracles import ReferenceSplitMix64
+from recorder import played
 
 
 def det_log(k: int, m: int) -> SequenceLog:
-    _, log = stabilize_labeled(StarParams(k, m), Deterministic())
+    _, log = played(StarParams(k, m), Deterministic())
     return log
 
 
@@ -100,13 +102,13 @@ class TestVerifyPoset:
     @pytest.mark.parametrize("name", ["det", "random", "volmin"])
     @pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 4)])
     def test_engine_logs_pass(self, name, k, m):
-        _, log = stabilize_labeled(StarParams(k, m), make_strategy(name, seed=21))
+        _, log = played(StarParams(k, m), make_strategy(name, seed=21))
         assert verify_poset(log).passed
 
     def test_random_sample_passes(self):
         params = StarParams(2, 3)
         for seed in range(100):
-            _, log = stabilize_labeled(params, RandomUniform(seed))
+            _, log = played(params, RandomUniform(seed))
             assert verify_poset(log).passed
 
     def test_forged_order_swap_is_caught(self):
@@ -138,7 +140,7 @@ class TestVerifyPoset:
         before = _board.cache_info()
         for seed in range(10):
             for params in (StarParams(2, 3), StarParams(3, 2)):
-                _, log = stabilize_labeled(params, RandomUniform(seed))
+                _, log = played(params, RandomUniform(seed))
                 assert verify_poset(log).passed
         after = _board.cache_info()
         assert after.misses - before.misses <= 2
@@ -160,6 +162,15 @@ class TestVerifyPoset:
             "per-vertex fire counts {Vertex(branch=0, level=0): 2, Vertex(branch=1, level=1): 1, "
             "Vertex(branch=2, level=1): 1} disagree with the closed form {Vertex(branch=0, level=0): 3, "
             "Vertex(branch=1, level=1): 1, Vertex(branch=2, level=1): 1}"
+        )
+        # a vertex off the board has no slot; its fires are counted apart
+        off = Move(Vertex(9, 9), (1, 2))
+        report = verify_poset(SequenceLog(log.params, (log.moves[0], off, off)))
+        assert [(v.rule, v.subject) for v in report.violations] == [("fire-count-mismatch", ())]
+        assert report.violations[0].detail == (
+            "per-vertex fire counts {Vertex(branch=0, level=0): 1, Vertex(branch=9, level=9): 2} disagree with "
+            "the closed form {Vertex(branch=0, level=0): 3, Vertex(branch=1, level=1): 1, "
+            "Vertex(branch=2, level=1): 1}"
         )
 
 
@@ -186,7 +197,7 @@ class TestOutOfRangeLabels:
     def test_refused_by_the_verifier_and_by_replay(self, first):
         log = det_log(3, 3)
         if isinstance(first, str):  # a parsed log
-            log = SequenceLog.from_text(log.params, log.to_text().replace("C:{1,2,3}\n", first + "\n", 1))
+            log = SequenceLog.from_text(log.params, "".join(f"{mv}\n" for mv in log.moves).replace("C:{1,2,3}\n", first + "\n", 1))
         else:  # built through the API
             log = SequenceLog(log.params, (first,) + log.moves[1:])
         bad = log.moves[0]
@@ -294,7 +305,7 @@ def test_each_reader_reads_the_moves_once(reader, name):
     if name == "forged":
         log = SequenceLog.from_text(params, FORGED_3X3.replace(" ", "\n"))
     else:
-        _, log = stabilize_labeled(params, make_strategy(name, seed=5))
+        _, log = played(params, make_strategy(name, seed=5))
     expected = reader(log)
     assert reader(SequenceLog(params, _OnePass(log.moves))) == expected
 
@@ -348,7 +359,7 @@ class TestForgedLogVerdicts:
         for k, m in self.SHAPES:
             params = StarParams(k, m)
             for name in ("det", "random", "volmin"):
-                _, game = stabilize_labeled(params, make_strategy(name, seed=k * 10 + m))
+                _, game = played(params, make_strategy(name, seed=k * 10 + m))
                 logs = [game.moves] + [_mutate(game.moves, kind, rng, params.n_chips) for kind in _MUTATIONS]
                 for moves in logs:
                     log = SequenceLog(params, moves)
@@ -367,7 +378,7 @@ class TestOnePass:
     def one_pass(log: SequenceLog, outcome) -> dict:
         check = GameCheck(log.params)
         slot = check.board.slot
-        for mv in log:
+        for mv in log.moves:
             check.fire(slot[mv.vertex], mv.chips)  # as a game hands it a fire: the slot and the chips
         return check.verdicts(outcome)
 
@@ -387,7 +398,7 @@ class TestOnePass:
         for k, m in TestForgedLogVerdicts.SHAPES:
             params = StarParams(k, m)
             for name in ("det", "random", "volmin"):
-                outcome, game = stabilize_labeled(params, make_strategy(name, seed=k * 10 + m))
+                outcome, game = played(params, make_strategy(name, seed=k * 10 + m))
                 for kind in _MUTATIONS:
                     log = SequenceLog(params, _mutate(game.moves, kind, rng, params.n_chips))
                     assert self.one_pass(log, outcome) == check_game(outcome, log)
@@ -397,12 +408,12 @@ class TestOnePass:
         for k in range(1, 11):
             for m in range(1, 11):
                 params = StarParams(k, m)
-                outcome, log = stabilize_labeled(params, make_strategy(name, seed=10 * k + m))
+                outcome, log = played(params, make_strategy(name, seed=10 * k + m))
                 check = GameCheck(params)
-                played = stabilize_labeled(params, make_strategy(name, seed=10 * k + m), log=False, check=check.fire)
-                assert played == (outcome, None)
+                game = stabilize_labeled(params, make_strategy(name, seed=10 * k + m), check.fire)
+                assert game == (outcome, len(log.moves))
                 verdicts = check.verdicts(outcome)
                 assert verdicts == check_game(outcome, log) == self.one_pass(log, outcome)
                 assert all(verdicts.values())
-                assert check.fires == len(log)
-                assert check.per_vertex_fire_count == log.per_vertex_fire_count
+                assert check.fires == len(log.moves)
+                assert check.per_vertex_fire_count == dict(Counter(mv.vertex for mv in log.moves))
