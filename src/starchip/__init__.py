@@ -38,7 +38,6 @@ _EXPORTS = {
     "engine": (
         "Deterministic",
         "RandomUniform",
-        "SequenceLog",
         "VolatilityMinimizing",
         "expected_fire_count",
         "expected_total_fires",
@@ -62,6 +61,7 @@ _EXPORTS = {
     ),
     "verify": (
         "FireRef",
+        "SequenceLog",
         "VerifierReport",
         "Violation",
         "endgame_positions",

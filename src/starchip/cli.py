@@ -218,8 +218,8 @@ def _verify_range(params: StarParams, part: range, seed: int) -> tuple:
     distinct fire-count signatures, the distinct outcomes, and the first
     failing trial as (trial, trial seed, failed checks), or None. A
     signature is how often each slot fired, in slot order, which is
-    canonical vertex order, and how often each vertex with no slot fired,
-    in vertex order."""
+    canonical vertex order: a game hands its check only the fires ``_fire``
+    accepted at a slot, so no fire has a vertex without one."""
     from .verify import GameCheck
 
     failures: Counter[str] = Counter()
@@ -228,7 +228,7 @@ def _verify_range(params: StarParams, part: range, seed: int) -> tuple:
     first = None
     for i, (trial_seed, outcome, check) in zip(part, random_games(params, part, seed, lambda: GameCheck(params))):
         outcomes.add(outcome)
-        fire_counts.add((tuple(check.fired), tuple((*v, n) for v, n in sorted(check.stray.items()))))
+        fire_counts.add(tuple(check.fired))
         failed = [name for name, ok in check.verdicts(outcome).items() if not ok]
         if failed and first is None:
             first = (i, trial_seed, failed)

@@ -233,14 +233,15 @@ def _check_fire(params: StarParams, v: Vertex, have: Iterable[int], fired: tuple
 # the matrix _outcome reads off. Slot 0 is the center and slot
 # 1 + (i-1)*m + (j-1) branch i, level j; each slot holds its labels in
 # ascending order. The sweep keeps a state as one int (enumeration._sweep).
-# The move filters (_fireable, _volmin_fireable) read only chip counts. A
-# game fires in place on one list of lists (_fire), which stays sorted, so a
-# strategy draws from it unsorted and must not change it. A replay or a
-# verifier holds a _Replay instead, the slot of each label and the chip
-# count of each slot. From k*m chips on the center level m never fires
-# (_fire_count), so the slots cover every reachable state. Readers only
-# index slots and take lengths, so tuples of tuples and lists of lists serve
-# alike.
+# A play rule reads only chip counts: _fireable gives the slots that can
+# fire, and a rule, such as _calmest, narrows them; a game and the sweep
+# call it alike. A game fires in place on one list of lists (_fire), which
+# stays sorted, so a strategy draws from it unsorted and must not change it.
+# A replay or a verifier holds a _Replay instead, the slot of each label and
+# the chip count of each slot. From k*m chips on the center level m never
+# fires (_fire_count), so the slots cover every reachable state. Readers
+# only index slots and take lengths, so tuples of tuples and lists of lists
+# serve alike.
 
 _State = Sequence[Sequence[int]]
 
@@ -401,14 +402,6 @@ def _calmest(board: _Board, counts: Sequence[int], fireable: list[int]) -> list[
     calmest = [s for s, score in zip(fireable, scores) if score == best]
     top_level = max(level[s] for s in calmest)
     return [s for s in calmest if level[s] == top_level]
-
-
-def _volmin_fireable(board: _Board, counts: Sequence[int]) -> list[int]:
-    """The slots that survive the volatility-minimizing filter, in canonical
-    vertex order, given the chip count of each slot; empty exactly when the
-    state is stable."""
-    fireable = _fireable(board, counts)
-    return _calmest(board, counts, fireable) if fireable else fireable
 
 
 def _outcome(board: _Board, state: _State) -> Outcome:

@@ -33,7 +33,6 @@ from .core import (
     StarParams,
     Vertex,
     _Board,
-    _Frozen,
     _State,
     _board,
     _calmest,
@@ -45,7 +44,6 @@ from .core import (
     _outcome,
     _receivers,
     degree,
-    parse_move,
 )
 from .rng import SplitMix64, derive_seed
 
@@ -88,37 +86,6 @@ def stabilize_unlabeled(params: StarParams, n: int) -> tuple[dict[Vertex, int], 
             for u in _receivers(params.k, v):
                 counts[u] = counts.get(u, 0) + t
     return {v: c for v, c in sorted(counts.items()) if c}, dict(fires)
-
-
-class SequenceLog(_Frozen):
-    """An ordered record of fires, normally a complete stabilization
-    sequence read from text: the moves and nothing else. Its readers, the
-    verifiers included, read the moves once, front to back. A game keeps
-    no log; a per-fire check of :func:`stabilize_labeled` records one."""
-
-    __slots__ = ("params", "moves")
-    params: StarParams
-    moves: tuple[Move, ...]
-
-    def __init__(self, params: StarParams, moves: tuple[Move, ...]) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "moves", moves)
-
-    def _values(self) -> tuple[StarParams, tuple[Move, ...]]:
-        return self.params, self.moves
-
-    @classmethod
-    def from_text(cls, params: StarParams, text: str) -> "SequenceLog":
-        """The log of ``text``: one move per line, ``C:{1,2,3}`` or
-        ``B(i,j):{a,b}``; blank lines and lines that start with ``#`` are
-        skipped."""
-        moves = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            moves.append(parse_move(line))
-        return cls(params, tuple(moves))
 
 
 def _unrank(pool: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
@@ -257,7 +224,7 @@ def _refused(board: _Board, state: list[list[int]], step: int, s: object, chips:
     """The error that ends a game at its ``step``-th fire, ``chips`` at slot
     ``s``, which the driver refused. ``_fire`` may have taken chips off
     ``s``, and routed none, so ``s`` first gets back every label no other
-    slot holds."""
+    slot holds, and the error names the state as :func:`_illegal` does."""
     if not isinstance(s, int) or not 0 <= s < len(state):
         return IllegalMoveError(s, chips, f"no slot {s!r} on a board of {len(state)} slots", step=step)
     others = {c for u, labels in enumerate(state) if u != s for c in labels}
@@ -265,7 +232,7 @@ def _refused(board: _Board, state: list[list[int]], step: int, s: object, chips:
     try:
         _check_fire(board.params, board.vertex[s], state[s], chips)
     except IllegalMoveError as e:
-        return IllegalMoveError(e.vertex, chips, f"{e.reason}; state {_state_text(board, state)}", step=step)
+        return _illegal(board, state, step, e)
     raise AssertionError(f"_check_fire accepts {chips} at slot {s}, which the game refused")
 
 
@@ -308,13 +275,6 @@ def _processes(params: StarParams, trials: int) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(cpus, trials, trials * expected_total_fires(params) // FORK_MIN_FIRES))
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def fork_trials(params: StarParams, trials: int, summarize: Callable[[range], _Summary]) -> list[_Summary]:
@@ -361,7 +321,10 @@ def fork_trials(params: StarParams, trials: int, summarize: Callable[[range], _S
             reads.append(r)
             os.close(w)
         first, *rest = [summarize(part) for part in (ranges[0], *ranges[1 + len(pids):])]
-        payloads = [_read_all(fd) for fd in reads]
+        payloads = []
+        for fd in reads:
+            with open(fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
         for pid in pids:
             statuses.append(os.waitpid(pid, 0)[1])
     finally:
@@ -393,8 +356,7 @@ def replay(params: StarParams, moves: Iterable[Move]) -> Outcome | dict[Vertex, 
         try:
             played.fire(slot.get(mv.vertex), mv.chips, mv.vertex)
         except IllegalMoveError as e:
-            text = _state_text(board, played.state())
-            raise IllegalMoveError(mv.vertex, mv.chips, f"{e.reason}; state {text}", step=t) from None
+            raise _illegal(board, played.state(), t, e) from None
     state = played.state()
     try:
         return _outcome(board, state)
@@ -408,6 +370,10 @@ def _held(board: _Board, state: _State) -> dict[Vertex, tuple[int, ...]]:
     return {v: tuple(labels) for v, labels in zip(board.vertex, state) if labels}
 
 
-def _state_text(board: _Board, state: _State) -> str:
-    """A packed state as an IllegalMoveError names it: ``C:{3,4}, B(1,1):{1}``."""
-    return ", ".join(f"{v}:{{{','.join(map(str, labels))}}}" for v, labels in _held(board, state).items())
+def _illegal(board: _Board, state: _State, step: int, error: IllegalMoveError) -> IllegalMoveError:
+    """``error``, which ``core._check_fire`` raised for a fire tried on
+    the packed ``state``, as the ``step``-th fire of a game or a replay: its
+    reason, then the state, each vertex that holds chips written as a move,
+    ``state C:{3,4}, B(1,1):{1}``."""
+    held = ", ".join(str(Move(v, labels)) for v, labels in _held(board, state).items())
+    return IllegalMoveError(error.vertex, error.chips, f"{error.reason}; state {held}", step=step)

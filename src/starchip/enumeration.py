@@ -10,7 +10,7 @@ layers the counts are the stabilization-sequence counts of the stable
 outcomes, in Python's native big integers. A state is one int, in which slot
 s holds its labels as an n-bit mask at bits ``n*s`` (n = k*m); a fire adds a
 cached step to it, summed from per-slot tables. A layer groups its states by
-chip-count vector, which is all the move filter reads, so the sweep unpacks
+chip-count vector, which is all a play rule reads, so the sweep unpacks
 only the label masks its step cache misses on, and the final states.
 """
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .core import (
     _Board,
     _State,
     _board,
+    _calmest,
     _fireable,
     _outcome,
-    _volmin_fireable,
 )
 from .engine import expected_total_fires
 
@@ -81,23 +81,24 @@ def _check_budget(params: StarParams, max_states: int | None, default_cells: int
 
 
 def _sweep(
-    params: StarParams, max_states: int | None, fire_slots: Callable[[_Board, tuple[int, ...]], list[int]]
+    params: StarParams, max_states: int | None, rule: Callable[[_Board, tuple[int, ...], list[int]], list[int]]
 ) -> dict[Outcome, int]:
     """Move sequences reaching each stable outcome when a state may fire the
-    slots ``fire_slots`` gives for its chip-count vector, as ``_fireable``
-    and ``_volmin_fireable`` do; ``max_states`` bounds the distinct states
-    discovered over all layers, the start included.
+    slots ``rule(board, counts, fireable)`` keeps of its non-empty
+    ``_fireable`` slots, given its chip-count vector ``counts``, as a game's
+    strategy calls ``core._calmest``; ``max_states`` bounds the distinct
+    states discovered over all layers, the start included.
 
-    A layer maps each chip-count vector to its states, so the filter runs
-    once per vector, on the vector itself. The step of firing chips at slot
-    s is the sum of one table entry per chip: ``moves[s][i][c]`` moves label
-    c from slot s to its i-th receiver, and slot s's table is built on its
-    first fire, so a search the budget stops early builds few. Each slot's
-    steps are cached by its label mask, and a mask is decoded only on a
-    cache miss; of the states, only the final ones are. A miss whose fires
-    would pass ``max_states`` even if every state already in their child
-    group were among them raises before its steps are built, at the depth
-    the build would have raised at."""
+    A layer maps each chip-count vector to its states, so ``_fireable`` and
+    the rule run once per vector, on the vector itself. The step of firing
+    chips at slot s is the sum of one table entry per chip:
+    ``moves[s][i][c]`` moves label c from slot s to its i-th receiver, and
+    slot s's table is built on its first fire, so a search the budget stops
+    early builds few. Each slot's steps are cached by its label mask, and a
+    mask is decoded only on a cache miss; of the states, only the final ones
+    are. A miss whose fires would pass ``max_states`` even if every state
+    already in their child group were among them raises before its steps
+    are built, at the depth the build would have raised at."""
     board = _board(params)
     deg, routes, n = board.deg, board.routes, params.n_chips
     full = (1 << n) - 1
@@ -122,7 +123,8 @@ def _sweep(
     for depth in range(1, total + 1):
         nxt: dict[tuple[int, ...], dict[int, int]] = {}
         for counts, group in layer.items():
-            slots = fire_slots(board, counts)
+            fireable = _fireable(board, counts)
+            slots = fireable and rule(board, counts, fireable)
             if not slots:
                 raise ChipGameError(f"internal error: no legal move at depth {depth - 1} of {total}")
             for s in slots:
@@ -165,13 +167,14 @@ def enumerate_all(params: StarParams, max_states: int | None = None) -> Enumerat
     Two sequences are distinct when they differ in any move, where a move is
     a vertex plus the exact chip subset fired. Path counts are keyed on the
     state, so the cost scales with distinct states, not with sequences.
+    Every fireable slot may fire.
 
     Raises BudgetExceededError when k*m exceeds the default cell budget and
     no explicit ``max_states`` is given, or when the number of distinct
     states passes ``max_states``.
     """
     _check_budget(params, max_states, DEFAULT_CELL_BUDGET)
-    return EnumerationResult(params, _sweep(params, max_states, _fireable))
+    return EnumerationResult(params, _sweep(params, max_states, lambda board, counts, fireable: fireable))
 
 
 def reachable_set(params: StarParams, max_states: int | None = None) -> set[Outcome]:
@@ -182,8 +185,9 @@ def reachable_set(params: StarParams, max_states: int | None = None) -> set[Outc
 def enumerate_volmin(params: StarParams, max_states: int | None = None) -> set[Outcome]:
     """Outcomes reachable when every fire must be volatility-minimizing.
 
-    Branches over all surviving vertices and chip choices; the filter only
-    prunes the tree, so the result is a subset of :func:`reachable_set`.
+    Branches over every move at the slots ``core._calmest`` keeps, the rule
+    ``VolatilityMinimizing`` plays by; the rule only prunes the tree, so the
+    result is a subset of :func:`reachable_set`.
     """
     _check_budget(params, max_states, VOLMIN_CELL_BUDGET)
-    return set(_sweep(params, max_states, _volmin_fireable))
+    return set(_sweep(params, max_states, _calmest))

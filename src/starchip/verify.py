@@ -34,13 +34,38 @@ from typing import NamedTuple
 from .core import (
     IllegalMoveError,
     LogInconsistencyError,
+    Move,
     Outcome,
     StarParams,
     Vertex,
     _Replay,
     _board,
+    parse_move,
 )
-from .engine import SequenceLog, expected_total_fires
+from .engine import expected_total_fires
+
+
+class SequenceLog(NamedTuple):
+    """An ordered record of fires, normally a complete stabilization
+    sequence read from text: the moves and nothing else. The verifiers read
+    the moves once, front to back. A game keeps no log; a per-fire check of
+    ``engine.stabilize_labeled`` records one."""
+
+    params: StarParams
+    moves: tuple[Move, ...]
+
+    @classmethod
+    def from_text(cls, params: StarParams, text: str) -> "SequenceLog":
+        """The log of ``text``: one move per line, ``C:{1,2,3}`` or
+        ``B(i,j):{a,b}``; blank lines and lines that start with ``#`` are
+        skipped."""
+        moves = []
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            moves.append(parse_move(line))
+        return cls(params, tuple(moves))
 
 
 class FireRef(NamedTuple):

@@ -772,11 +772,13 @@ class TestProcessCount:
         assert capsys.readouterr().out == ""
 
     def test_summaries_come_back_in_trial_order(self, split):
+        # each range is summarized by its own process, the first by this one
         processes, forks = split
-        parts = fork_trials(StarParams(2, 2), 10, list)
+        parts = fork_trials(StarParams(2, 2), 10, lambda part: (list(part), os.getpid()))
         assert len(parts) == processes
-        assert [i for part in parts for i in part] == list(range(10))
+        assert [i for part, _ in parts for i in part] == list(range(10))
         assert len(forks) == processes - 1
+        assert parts[0][1] == os.getpid() and len({pid for _, pid in parts}) == processes
 
     def test_a_failed_fork_leaves_its_range_to_the_parent(self, capsys, monkeypatch):
         argv = "montecarlo --k 2 --m 3 --trials 300 --seed 7 --json".split()

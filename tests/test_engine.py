@@ -338,8 +338,13 @@ class _SlotStrategy:
 
 @pytest.mark.parametrize(
     "slot, name",
-    [(lambda state: len(state) + 3, "13"), (lambda state: -len(state), "-10"), (lambda state: 1.0, "1.0")],
-    ids=["past the board", "negative", "float"],
+    [
+        (lambda state: len(state), "10"),
+        (lambda state: len(state) + 3, "13"),
+        (lambda state: -len(state), "-10"),
+        (lambda state: 1.0, "1.0"),
+    ],
+    ids=["just past the board", "past the board", "negative", "float"],
 )
 @pytest.mark.parametrize("at", [1, 4])
 def test_a_slot_off_the_board_is_refused_naming_the_step(slot, name, at):

@@ -21,7 +21,8 @@ from starchip import (
     verify_branch_sorted,
     verify_rim_sorted,
 )
-from starchip.core import _Replay, _board, _fire, _fireable, _outcome, _volmin_fireable
+from starchip.core import _Replay, _board, _calmest, _fire, _fireable, _outcome
+from starchip import enumeration
 from starchip.enumeration import _sweep
 from oracles import (
     _naive_apply,
@@ -157,16 +158,18 @@ class TestReachableSet:
 
 class TestVolminFilter:
     # Packed states slot by slot: slot 0 is the center, then branch 1's
-    # levels 1..m, then branch 2's. The filter reads their chip counts.
+    # levels 1..m, then branch 2's. The rule reads their chip counts and
+    # narrows their fireable slots, as the sweep calls it.
     def test_only_center_fireable_passes_through(self):
         board = _board(StarParams(2, 2))
         counts = tuple(map(len, ((1, 2, 3, 4), (), (), (), ())))
-        assert _volmin_fireable(board, counts) == _fireable(board, counts) == [0]
+        assert _calmest(board, counts, _fireable(board, counts)) == _fireable(board, counts) == [0]
 
     def test_level_one_wave_after_two_center_fires(self):
         # C:{1,2} then C:{3,4}
         board = _board(StarParams(2, 2))
-        slots = _volmin_fireable(board, tuple(map(len, ((), (1, 3), (), (2, 4), ()))))
+        counts = tuple(map(len, ((), (1, 3), (), (2, 4), ())))
+        slots = _calmest(board, counts, _fireable(board, counts))
         assert {board.vertex[s] for s in slots} == {Vertex(1, 1), Vertex(2, 1)}
 
     def test_tie_broken_toward_outer_vertex(self):
@@ -174,11 +177,16 @@ class TestVolminFilter:
         # fires on the packed state, so the outer vertex sits below it.
         board = _board(StarParams(2, 3))
         state = ((1, 2), (), (3, 4), (), (), (5,), (6,))
-        slots = _volmin_fireable(board, tuple(map(len, state)))
+        counts = tuple(map(len, state))
+        slots = _calmest(board, counts, _fireable(board, counts))
         assert _packed_moves(board, state, slots) == [Move(Vertex(1, 2), (3, 4))]
 
     def test_empty_iff_stable(self):
-        assert _volmin_fireable(_board(StarParams(2, 2)), tuple(map(len, ((), (1,), (2,), (3,), (4,))))) == []
+        # the sweep calls the rule only on a non-empty fireable list
+        board = _board(StarParams(2, 2))
+        counts = tuple(map(len, ((), (1,), (2,), (3,), (4,))))
+        fireable = _fireable(board, counts)
+        assert (fireable and _calmest(board, counts, fireable)) == []
 
 
 class TestEnumerateVolmin:
@@ -241,7 +249,8 @@ def test_packed_kernel_matches_object_model(data):
         counts = [len(labels) for labels in state]
         packed = [(naive_vertex(v), chips) for v, chips in _packed_moves(board, state, _fireable(board, counts))]
         assert packed == moves
-        volmin = _packed_moves(board, state, _volmin_fireable(board, counts))
+        fireable = _fireable(board, counts)
+        volmin = _packed_moves(board, state, fireable and _calmest(board, counts, fireable))
         assert [(naive_vertex(v), chips) for v, chips in volmin] == naive_volmin_moves(cfg, k)
         if not moves:
             rows = tuple(tuple(next(iter(cfg[(i, j)])) for j in range(1, m + 1)) for i in range(1, k + 1))
@@ -259,28 +268,49 @@ def test_packed_kernel_matches_object_model(data):
 def test_sweep_refuses_a_dead_end_before_the_last_layer():
     # a dead end would silently drop its path counts from the totals
     with pytest.raises(ChipGameError, match="no legal move at depth 0 of 5"):
-        _sweep(StarParams(2, 2), None, lambda board, state: [])
+        _sweep(StarParams(2, 2), None, lambda board, counts, fireable: [])
+
+
+@pytest.mark.parametrize("budget, builds", [(16, 1), (22, 3)])
+def test_a_step_build_sure_to_pass_the_budget_is_refused_before_it_is_made(monkeypatch, budget, builds):
+    # On (2,3) the first center fire builds 15 steps, and 16 states admit
+    # them and the start. Each center state of the next layer has 6 moves.
+    # With 16 no room is left for them. With 22 the layer's first build
+    # fills the budget with 6 children, and its second is still made, since
+    # its 6 fires may all reach those 6 children. The refusal names the
+    # depth a build would have passed the budget at.
+    made = []
+    real = enumeration.combinations
+    monkeypatch.setattr(enumeration, "combinations", lambda pool, d: made.append(pool) or real(pool, d))
+    with pytest.raises(BudgetExceededError, match=rf"max_states = {budget} at depth 2 of 14$"):
+        reachable_set(StarParams(2, 3), max_states=budget)
+    assert len(made) == builds
 
 
 def test_sweep_filters_each_chip_count_vector_once():
-    # the move filter reads chip counts alone, so the sweep asks it once per
-    # distinct count vector, with that vector as a tuple of ints
-    for k, m, fire_slots, expected in [
-        (2, 4, _fireable, 143),
-        (2, 4, _volmin_fireable, 46),
-        (3, 3, _fireable, 72),
-        (3, 3, _volmin_fireable, 39),
+    # a play rule reads chip counts alone, so the sweep asks it once per
+    # distinct count vector, with that vector as a tuple of ints and its
+    # fireable slots
+    def every(board, counts, fireable):
+        return fireable
+
+    for k, m, rule, expected in [
+        (2, 4, every, 143),
+        (2, 4, _calmest, 46),
+        (3, 3, every, 72),
+        (3, 3, _calmest, 39),
     ]:
         seen = []
 
-        def spy(board, counts):
+        def spy(board, counts, fireable):
             assert isinstance(counts, tuple) and len(counts) == len(board.vertex)
             assert all(type(c) is int for c in counts)
+            assert fireable == _fireable(board, counts)
             seen.append(counts)
-            return fire_slots(board, counts)
+            return rule(board, counts, fireable)
 
         _sweep(StarParams(k, m), None, spy)
-        assert len(seen) == len(set(seen)) == expected, (k, m, fire_slots.__name__)
+        assert len(seen) == len(set(seen)) == expected, (k, m, rule.__name__)
 
 
 _CHAIN_SHAPES = [(k, m) for k in range(2, 10) for m in range(1, 9 // k + 1)]
