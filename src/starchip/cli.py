@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 from typing import Callable, Iterable
 
-from .core import BudgetExceededError, ChipGameError, Move, StarParams, _board, outcome_to_text
+from .core import BudgetExceededError, ChipGameError, StarParams, _board, outcome_to_text
 from .engine import (
     _STRATEGY_NAMES,
     expected_total_fires,
@@ -73,11 +73,12 @@ def _move_lines(params: StarParams, lines: bytearray, then: Callable[[int, tuple
     """A per-fire check that appends each fire's line of the ``stabilize
     --json`` moves list, ``    "C:{1,2}",`` and a newline, to ``lines``,
     then hands the fire to ``then``, if given. A move is ASCII that JSON
-    needs no escape for: ``C``, ``B``, digits and ``(),:{}``."""
-    vertex = _board(params).vertex
+    needs no escape for: ``C``, ``B``, digits and ``(),:{}``. Each slot's
+    text up to its chips, ``    "C:{``, is made once per game."""
+    heads = [f'    "{v}:{{' for v in _board(params).vertex]
 
     def record(s: int, chips: tuple[int, ...]) -> None:
-        lines.extend(f'    "{Move(vertex[s], chips)}",\n'.encode())
+        lines.extend(f'{heads[s]}{",".join(map(str, chips))}}}",\n'.encode())
         if then is not None:
             then(s, chips)
 

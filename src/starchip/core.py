@@ -342,11 +342,8 @@ class _Replay:
 
     def __init__(self, board: _Board):
         self.board, self.deg, self.routes, self.n = board, board.deg, board.routes, board.params.n_chips
-        self.where = [0] * (self.n + 1)
+        self.where = [0] * (self.n + 1)  # every label starts on the center, slot 0
         self.count = [len(labels) for labels in board.start]
-        for s, labels in enumerate(board.start):
-            for c in labels:
-                self.where[c] = s
 
     def fire(self, s: int | None, chips: tuple[int, ...], v: Vertex | None = None) -> None:
         """Fire ``chips`` at vertex ``v``, whose slot ``s`` is

@@ -112,11 +112,12 @@ class Strategy(Protocol):
 
     def pick(self, board: _Board, state: _State, fireable: list[int]) -> tuple[int, Iterable[int]]:
         """The next fire, as a slot of the board and the int labels it fires
-        there, in any order. ``state`` is the game's packed state (see
-        :mod:`starchip.core`) and ``fireable`` its fireable slots in
-        canonical vertex order, never empty; the driver changes both after
-        each fire, and a strategy must not. A fire the rules forbid ends the
-        game with :func:`replay`'s IllegalMoveError."""
+        there, in any order; a strictly increasing tuple of ints is fired as
+        given, and anything else is sorted first. ``state`` is the game's
+        packed state (see :mod:`starchip.core`) and ``fireable`` its
+        fireable slots in canonical vertex order, never empty; the driver
+        changes both after each fire, and a strategy must not. A fire the
+        rules forbid ends the game with :func:`replay`'s IllegalMoveError."""
 
 
 class Deterministic:
@@ -191,8 +192,10 @@ def stabilize_labeled(
     fails ends the game with the IllegalMoveError :func:`replay` raises for
     the same moves; a chip that is not an int, such as 1.0, fails at once,
     and a slot that is not an int in ``range(len(state))`` is named as
-    such. Chips are checked and routed as the ints ``operator.index``
-    gives, so a bool plays as its int.
+    such. A strictly increasing tuple of positive ints, which every
+    built-in strategy returns, is fired as given; other chips are checked
+    and routed as the sorted ints ``operator.index`` gives, so a bool plays
+    as its int.
 
     ``_fire`` also keeps the fireable list the strategy reads. Legal
     chip-firing from finitely many chips stops (Björner, Lovász and Shor,
@@ -209,7 +212,12 @@ def stabilize_labeled(
         if type(chips) is not tuple:
             chips = tuple(chips)
         try:
-            chips = tuple(sorted(map(index, chips)))
+            last = 0
+            for c in chips:  # a strictly increasing tuple of positive ints fires as given
+                if type(c) is not int or c <= last:
+                    chips = tuple(sorted(map(index, chips)))
+                    break
+                last = c
             if s < 0:
                 raise ValueError
             _fire(board, state, s, chips, fireable)

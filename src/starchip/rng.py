@@ -31,6 +31,15 @@ takes the whole of a pool of one or two, the draw passes over its outputs
 without reading them: the stream goes on exactly as if they had been
 used.
 
+The limit 2^64 - 2^64 % n costs two 65-bit operations, and it can only
+reject an output in the top n values, since 2^64 % n < n. So
+``choose_subset`` and ``_subset`` accept an output below 2^64 - n first
+and compute the limit only for the rest; a subset of a pool of n draws
+below n, n - 1, ..., and ``_subset`` tests each of them against the one
+bound 2^64 - n (a cheap bound first, as in Lemire, "Fast random integer
+generation in an interval", ACM TOMACS 29(1), 2019). The stream is the
+same as with the limit alone.
+
 One output cannot cover a range n > 2^64. There each try of ``randrange``
 takes w outputs, w being the number of 64-bit words n - 1 needs, joins them
 into one number below 2^(64w), the first output highest, and rejects it at
@@ -191,13 +200,12 @@ class SplitMix64:
             o = options[0]
         else:
             out = self._out
-            limit = _TWO64 - _TWO64 % n
             while True:
                 if i >= BATCH:
                     out, i = self._refill(i), 0
                 r = out[i]
                 i += 1
-                if r < limit:
+                if r < _TWO64 - n or r < _TWO64 - _TWO64 % n:
                     break
             o = options[r % n]
         return o, self._subset(i, pools[o], sizes[o])
@@ -215,14 +223,14 @@ class SplitMix64:
         out = self._out
         items = list(pool)
         picked = []
+        safe = _TWO64 - n  # below the limit 2^64 - 2^64 % left of every left <= n
         for left in range(n, n - size, -1):
-            limit = _TWO64 - _TWO64 % left
             while True:
                 if i >= BATCH:
                     out, i = self._refill(i), 0
                 r = out[i]
                 i += 1
-                if r < limit:
+                if r < safe or r < _TWO64 - _TWO64 % left:
                     break
             picked.append(items.pop(r % left))
         self._i = i

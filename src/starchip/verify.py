@@ -29,6 +29,7 @@ branches.
 from __future__ import annotations
 
 from collections import deque
+from operator import lt
 from typing import NamedTuple
 
 from .core import (
@@ -286,7 +287,7 @@ def verify_mixing(log: SequenceLog, strict: bool = False) -> VerifierReport:
 
 def verify_branch_sorted(outcome: Outcome) -> bool:
     """True iff every branch reads strictly increasing from the center outward."""
-    return all(all(a < b for a, b in zip(row, row[1:])) for row in outcome)
+    return all(all(map(lt, row, row[1:])) for row in outcome)
 
 
 def verify_rim_sorted(outcome: Outcome) -> bool:

@@ -1,4 +1,5 @@
 from collections import Counter
+from enum import IntEnum
 from itertools import combinations
 from math import comb
 
@@ -387,6 +388,20 @@ class _Script:
             r"B\(2,1\):\{1,3\} at step 4: chips not present",
             id="bool",
         ),
+        # a pick that is not a strictly increasing tuple of positive ints is
+        # sorted and converted first, and refused with the text it always got
+        pytest.param(
+            2, 1, [Move(CENTER, (2, 2))], 1, r"^illegal move C:\{2,2\} at step 1: chips must be distinct and sorted; "
+            r"state C:\{1,2\}$", id="repeated"
+        ),
+        pytest.param(
+            2, 1, [Move(CENTER, (0, 1))], 1, r"^illegal move C:\{0,1\} at step 1: chips not present \(vertex holds "
+            r"\[1, 2\]\); state C:\{1,2\}$", id="zero"
+        ),
+        pytest.param(
+            2, 1, [Move(CENTER, (1.0, 2))], 1, r"^illegal move C:\{1.0,2\} at step 1: chips must be int labels; "
+            r"state C:\{1,2\}$", id="float first"
+        ),
     ],
 )
 def test_a_fire_of_chips_the_vertex_does_not_hold_is_refused(k, m, script, step, error):
@@ -493,6 +508,39 @@ def test_a_strategy_returning_list_chips_logs_tuples_and_passes_every_check():
     assert all(type(mv.chips) is tuple for mv in log.moves)
     assert log == played(params, Deterministic())[1]
     assert all(check_game(outcome, log).values())
+
+
+_Label = IntEnum("_Label", [(f"L{c}", c) for c in range(1, 101)])
+
+
+class _Reshaped:
+    """Plays the picks of ``inner``, each handed on ``"as given"``, as a
+    list from the largest chip down (``"descending"``), or in order with
+    its first chip an IntEnum member of the same value (``"enum"``)."""
+
+    def __init__(self, inner, form):
+        self.inner, self.form = inner, form
+
+    def pick(self, board, state, fireable):
+        s, chips = self.inner.pick(board, state, fireable)
+        if self.form == "descending":
+            chips = sorted(chips, reverse=True)
+        elif self.form == "enum":
+            chips = (_Label(chips[0]), *chips[1:])
+        return s, chips
+
+
+@pytest.mark.parametrize("form", ["as given", "descending", "enum"])
+@pytest.mark.parametrize("name", ["det", "random", "volmin"])
+@pytest.mark.parametrize("k, m", [(3, 3), (4, 2), (2, 4)])
+def test_a_pick_in_any_form_plays_the_game_of_its_sorted_int_tuple(k, m, name, form):
+    # a strictly increasing tuple of ints is fired as given and any other
+    # pick as its sorted ints, so each form plays the same fires, and every
+    # chip the check is handed is an exact int
+    params = StarParams(k, m)
+    outcome, log = played(params, _Reshaped(make_strategy(name, 7), form))
+    assert (outcome, log) == played(params, make_strategy(name, 7))
+    assert {type(c) for mv in log.moves for c in mv.chips} == {int}
 
 
 class _Spy:

@@ -172,6 +172,63 @@ class TestRejectionPath:
         assert rng._state == (seed + 5 * _GOLDEN) & _MASK64
 
 
+def _seed_whose_first_output_is(x):
+    """The seed whose stream starts with the output x: the splitmix64 mix
+    undone step by step, each xorshift by iterating it and each product by
+    its multiplier's inverse mod 2^64, less the one step the first output
+    takes."""
+
+    def unshift(y, s):
+        z = y
+        for _ in range(64 // s):
+            z = y ^ (z >> s)
+        return z
+
+    z = unshift(x, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+    return (z - _GOLDEN) & _MASK64
+
+
+def test_the_inverted_mix_gives_the_rejecting_seed():
+    assert _seed_whose_first_output_is(_MASK64) == REJECTING_SEED
+    for i in range(50):
+        x = derive_seed(11, i)
+        assert ReferenceSplitMix64(_seed_whose_first_output_is(x)).next_u64() == x
+
+
+def _edges(n):
+    """The outputs at which a draw below n changes hands: 2^64 - n, which
+    every draw below n or less accepts without computing its limit, the
+    largest output the draw accepts, and the smallest it rejects, if any."""
+    limit = (1 << 64) - (1 << 64) % n
+    return sorted({(1 << 64) - n, limit - 1} | ({limit} if limit < 1 << 64 else set()))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12])
+def test_a_first_draw_at_the_edges_of_its_rejection_zone_follows_the_reference_stream(n):
+    # the output x comes first, so it is the subset's first chip draw, the
+    # option draw among n options, and, after one option passes over an
+    # output, choose_subset's first chip draw; the later draws are below
+    # n - 1, n - 2, ..., which accept every output below 2^64 - n too
+    options = list(range(n))
+    sizes = [min(2, len(pool)) for pool in POOLS]
+    for x in _edges(n):
+        seed = _seed_whose_first_output_is(x)
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        assert rng.subset(POOLS[n], n - 1) == ref.subset(POOLS[n], n - 1), (n, x)
+        assert rng._state == ref.state, (n, x)
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        o = options[ref.randrange(n)]
+        assert rng.choose_subset(options, POOLS, sizes) == (o, ref.subset(POOLS[o], sizes[o])), (n, x)
+        assert rng._state == ref.state, (n, x)
+        seed = (seed - _GOLDEN) & _MASK64
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        ref.randrange(1)
+        assert rng.choose_subset([n], POOLS, [n - 1] * 13) == (n, ref.subset(POOLS[n], n - 1)), (n, x)
+        assert rng._state == ref.state, (n, x)
+
+
 class _ReferenceRandomPlay:
     """Random play on the reference stream, a slot and then its chips one
     at a time, as ``naive_play`` draws them; notes which kinds of draw
