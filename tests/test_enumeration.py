@@ -36,6 +36,11 @@ from oracles import (
 )
 
 
+# every shape with k*m <= 8, where the sweep's key gives each slot a k*m-bit
+# mask of 1 to 8 bits, and the wider masks of (3,3) and (6,2)
+_CENSUS_SHAPES = [(k, m) for k in range(1, 9) for m in range(1, 8 // k + 1)] + [(3, 3), (6, 2)]
+
+
 class TestEnumerateAll:
     def test_matches_naive_walk_on_tiny_games(self):
         for k, m in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (4, 2)]:
@@ -105,11 +110,7 @@ class TestEnumerateAll:
         with pytest.raises(BudgetExceededError, match=r"max_states = 10 at depth 1 of 14$"):
             enumerate_all(StarParams(2, 3), max_states=10)
 
-    # every shape with k*m <= 8, where the sweep's key gives each slot a
-    # k*m-bit mask of 1 to 8 bits, and the wider masks of (3,3) and (6,2)
-    @pytest.mark.parametrize(
-        "k, m", [(k, m) for k in range(1, 9) for m in range(1, 8 // k + 1)] + [(3, 3), (6, 2)]
-    )
+    @pytest.mark.parametrize("k, m", _CENSUS_SHAPES)
     def test_census_totals_equal_label_free_count(self, k, m):
         result = enumerate_all(StarParams(k, m), max_states=200_000)  # (1,8) has over 100,000 states
         assert result.total_sequences == naive_total_sequences(k, m)
@@ -134,10 +135,11 @@ class TestReachableSet:
     def test_two_by_four_has_sixteen(self):
         assert len(reachable_set(StarParams(2, 4))) == 16
 
-    def test_equals_enumeration_support(self):
-        for k, m in [(1, 3), (2, 2), (2, 3), (3, 2)]:
-            params = StarParams(k, m)
-            assert reachable_set(params) == set(enumerate_all(params).per_outcome)
+    @pytest.mark.parametrize("k, m", _CENSUS_SHAPES)
+    def test_equals_enumeration_support(self, k, m):
+        # the search without path counts finds the counted search's outcomes
+        params = StarParams(k, m)
+        assert reachable_set(params, max_states=200_000) == set(enumerate_all(params, max_states=200_000).per_outcome)
 
     def test_outcomes_are_sorted_both_ways(self):
         for k, m in [(2, 3), (3, 2), (2, 4)]:
@@ -285,6 +287,62 @@ def test_a_step_build_sure_to_pass_the_budget_is_refused_before_it_is_made(monke
     with pytest.raises(BudgetExceededError, match=rf"max_states = {budget} at depth 2 of 14$"):
         reachable_set(StarParams(2, 3), max_states=budget)
     assert len(made) == builds
+
+
+def _counted_support(params, budget):
+    return set(enumerate_all(params, budget).per_outcome)
+
+
+def _counted_volmin(params, budget):
+    return set(_sweep(params, budget, _calmest))
+
+
+@pytest.mark.parametrize(
+    "free, counted, k, m, states",
+    [
+        (reachable_set, _counted_support, 2, 3, 381),
+        (reachable_set, _counted_support, 3, 2, 66),
+        (enumerate_volmin, _counted_volmin, 2, 3, 252),
+        (enumerate_volmin, _counted_volmin, 3, 2, 66),
+    ],
+)
+def test_a_search_without_path_counts_refuses_a_budget_where_the_counted_one_does(
+    monkeypatch, free, counted, k, m, states
+):
+    # The outcome-only searches hold no path counts, yet they meet the same
+    # states in the same order as the counted sweep. So under every budget
+    # up to one past the shape's state count they find the same outcomes,
+    # or refuse with the same message after the same step builds.
+    made = []
+    real = enumeration.combinations
+    monkeypatch.setattr(enumeration, "combinations", lambda pool, d: made.append(pool) or real(pool, d))
+
+    def run(search, budget):
+        made.clear()
+        try:
+            return search(StarParams(k, m), budget), len(made)
+        except BudgetExceededError as error:
+            return str(error), len(made)
+
+    for budget in range(1, states + 2):
+        found = run(free, budget)
+        assert found == run(counted, budget), budget
+        assert isinstance(found[0], set) == (budget >= states), budget
+
+
+@pytest.mark.parametrize(
+    "search, k, m, budget, depth, total",
+    [
+        (enumerate_all, 2, 3, 10, 1, 14),
+        (reachable_set, 2, 4, 19_068, 30, 30),
+        (enumerate_volmin, 3, 3, 5_499, 18, 18),
+    ],
+)
+def test_a_budget_error_says_how_far_the_search_got(search, k, m, budget, depth, total):
+    with pytest.raises(BudgetExceededError) as refused:
+        search(StarParams(k, m), max_states=budget)
+    assert (refused.value.depth, refused.value.total, refused.value.max_states) == (depth, total, budget)
+    assert str(refused.value) == f"state count exceeded max_states = {budget} at depth {depth} of {total}"
 
 
 def test_sweep_filters_each_chip_count_vector_once():
